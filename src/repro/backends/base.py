@@ -23,9 +23,23 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from ..errors import FileSystemError
-from ..util import Extent, total_extent_bytes
+from ..util import Extent
 
-__all__ = ["ServerInfo", "StorageBackend"]
+__all__ = ["ServerInfo", "StorageBackend", "check_extents"]
+
+
+def check_extents(extents: Sequence[Extent], data: bytes | None = None) -> None:
+    """Reject negative offsets or lengths and, for a write (``data``
+    given), a payload of the wrong size — before any byte moves."""
+    need = 0
+    for off, ln in extents:
+        if off < 0 or ln < 0:
+            raise FileSystemError(f"invalid extent ({off}, {ln})")
+        need += ln
+    if data is not None and need != len(data):
+        raise FileSystemError(
+            f"extent list covers {need} bytes but payload is {len(data)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,14 @@ class ServerInfo:
 
 
 class StorageBackend(ABC):
-    """Abstract DPFS server pool."""
+    """Abstract DPFS server pool.
+
+    One subfile contract for every implementation (checked by
+    ``tests/backends/test_contract.py``): create and delete are
+    idempotent; rename, size, read and write of a missing subfile raise
+    :class:`FileSystemError`; a bad extent list is rejected by
+    :func:`check_extents` before any byte is written.
+    """
 
     #: Whether :meth:`read_extents`/:meth:`write_extents` may be called
     #: concurrently from multiple threads (the parallel dispatch layer
@@ -70,12 +91,7 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def rename_subfile(self, server: int, old: str, new: str) -> None:
-        """Rename a subfile.
-
-        The in-process backends treat a missing old name as a no-op;
-        the TCP server raises (surfacing metadata/storage divergence),
-        which the remote backend maps to :class:`FileSystemError`.
-        """
+        """Rename a subfile; a missing old name raises :class:`FileSystemError`."""
 
     @abstractmethod
     def list_subfiles(self, server: int) -> list[str]:
@@ -109,14 +125,6 @@ class StorageBackend(ABC):
         if not 0 <= server < self.n_servers:
             raise FileSystemError(
                 f"server {server} outside [0, {self.n_servers})"
-            )
-
-    @staticmethod
-    def _check_payload(extents: Sequence[Extent], data: bytes) -> None:
-        need = total_extent_bytes(extents)
-        if need != len(data):
-            raise FileSystemError(
-                f"extent list covers {need} bytes but payload is {len(data)}"
             )
 
     # -- optional hooks -----------------------------------------------------

@@ -8,7 +8,8 @@ caching and prefetching of the local file system" — collapsed onto one
 host for reproducibility.
 
 Subfile names (DPFS paths like ``/home/xhshen/dpfs.test``) are escaped
-into flat file names.
+into flat file names.  :class:`SubfileDir` is the one store for a
+directory of subfiles; the TCP server keeps one over its root.
 """
 
 from __future__ import annotations
@@ -20,9 +21,14 @@ from collections.abc import Sequence
 
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import ServerInfo, StorageBackend
+from .base import ServerInfo, StorageBackend, check_extents
 
-__all__ = ["LocalBackend", "escape_subfile_name", "unescape_subfile_name"]
+__all__ = [
+    "LocalBackend",
+    "SubfileDir",
+    "escape_subfile_name",
+    "unescape_subfile_name",
+]
 
 
 def escape_subfile_name(name: str) -> str:
@@ -64,6 +70,79 @@ def unescape_subfile_name(name: str) -> str:
     return "".join(out)
 
 
+class SubfileDir:
+    """One server's subfiles: escaped flat files directly under ``root``.
+
+    The one subfile store: :class:`LocalBackend` keeps one per server
+    directory, :class:`~repro.net.server.DPFSServer` one over its root.
+    """
+
+    def __init__(self, root: str | os.PathLike[str]) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, name: str) -> Path:
+        return self.root / escape_subfile_name(name)
+
+    def _existing(self, name: str) -> Path:
+        path = self._path(name)
+        if not path.exists():
+            raise FileSystemError(f"no subfile {name!r}")
+        return path
+
+    # -- lifecycle -----------------------------------------------------------
+    def create(self, name: str) -> None:
+        self._path(name).touch()
+
+    def delete(self, name: str) -> None:
+        self._path(name).unlink(missing_ok=True)
+
+    def exists(self, name: str) -> bool:
+        return self._path(name).exists()
+
+    def rename(self, old: str, new: str) -> None:
+        self._existing(old).replace(self._path(new))
+
+    def list(self) -> list[str]:
+        return sorted(
+            unescape_subfile_name(p.name) for p in self.root.iterdir() if p.is_file()
+        )
+
+    def size(self, name: str) -> int:
+        return self._existing(name).stat().st_size
+
+    def wipe(self) -> None:
+        """Delete every subfile (format helper)."""
+        shutil.rmtree(self.root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    # -- I/O -----------------------------------------------------------------
+    def read(self, name: str, extents: Sequence[Extent]) -> bytes:
+        check_extents(extents)
+        out = bytearray()
+        with open(self._existing(name), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            for off, ln in extents:
+                if off < size:
+                    fh.seek(off)
+                    chunk = fh.read(min(ln, size - off))
+                else:
+                    chunk = b""
+                if len(chunk) < ln:                   # sparse tail → zeros
+                    chunk += b"\x00" * (ln - len(chunk))
+                out += chunk
+        return bytes(out)
+
+    def write(self, name: str, extents: Sequence[Extent], data: bytes) -> None:
+        check_extents(extents, data)
+        pos = 0
+        with open(self._existing(name), "r+b") as fh:
+            for off, ln in extents:
+                fh.seek(off)
+                fh.write(data[pos : pos + ln])
+                pos += ln
+
+
 class LocalBackend(StorageBackend):
     """Servers are subdirectories ``server_0 .. server_{n-1}`` of a root."""
 
@@ -81,12 +160,10 @@ class LocalBackend(StorageBackend):
         if len(perf) != n_servers:
             raise FileSystemError("performance list length mismatch")
         self.root = Path(root)
-        self._dirs = [self.root / f"server_{i}" for i in range(n_servers)]
-        for d in self._dirs:
-            d.mkdir(parents=True, exist_ok=True)
+        self._stores = [SubfileDir(self.root / f"server_{i}") for i in range(n_servers)]
         self._servers = [
             ServerInfo(
-                name=f"local:{self._dirs[i].name}",
+                name=f"local:server_{i}",
                 capacity=capacity,
                 performance=perf[i],
             )
@@ -97,83 +174,42 @@ class LocalBackend(StorageBackend):
     def servers(self) -> list[ServerInfo]:
         return list(self._servers)
 
-    def _path(self, server: int, name: str) -> Path:
+    def _store(self, server: int) -> SubfileDir:
         self._check_server(server)
-        return self._dirs[server] / escape_subfile_name(name)
+        return self._stores[server]
 
     # -- lifecycle -----------------------------------------------------------
     def create_subfile(self, server: int, name: str) -> None:
-        self._path(server, name).touch()
+        self._store(server).create(name)
 
     def delete_subfile(self, server: int, name: str) -> None:
-        path = self._path(server, name)
-        if path.exists():
-            path.unlink()
+        self._store(server).delete(name)
 
     def subfile_exists(self, server: int, name: str) -> bool:
-        return self._path(server, name).exists()
+        return self._store(server).exists(name)
 
     def rename_subfile(self, server: int, old: str, new: str) -> None:
-        src = self._path(server, old)
-        if src.exists():
-            src.replace(self._path(server, new))
+        self._store(server).rename(old, new)
 
     def list_subfiles(self, server: int) -> list[str]:
-        self._check_server(server)
-        return sorted(
-            unescape_subfile_name(p.name)
-            for p in self._dirs[server].iterdir()
-            if p.is_file()
-        )
+        return self._store(server).list()
 
     def subfile_size(self, server: int, name: str) -> int:
-        path = self._path(server, name)
-        if not path.exists():
-            raise FileSystemError(f"no subfile {name!r} on server {server}")
-        return path.stat().st_size
+        return self._store(server).size(name)
 
     # -- I/O -----------------------------------------------------------------
     def read_extents(
         self, server: int, name: str, extents: Sequence[Extent]
     ) -> bytes:
-        path = self._path(server, name)
-        if not path.exists():
-            raise FileSystemError(f"no subfile {name!r} on server {server}")
-        out = bytearray()
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
-                if off < size:
-                    fh.seek(off)
-                    chunk = fh.read(min(ln, size - off))
-                else:
-                    chunk = b""
-                if len(chunk) < ln:                   # sparse tail → zeros
-                    chunk += b"\x00" * (ln - len(chunk))
-                out += chunk
-        return bytes(out)
+        return self._store(server).read(name, extents)
 
     def write_extents(
         self, server: int, name: str, extents: Sequence[Extent], data: bytes
     ) -> None:
-        path = self._path(server, name)
-        if not path.exists():
-            raise FileSystemError(f"no subfile {name!r} on server {server}")
-        self._check_payload(extents, data)
-        pos = 0
-        with open(path, "r+b") as fh:
-            for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
-                fh.seek(off)
-                fh.write(data[pos : pos + ln])
-                pos += ln
+        self._store(server).write(name, extents, data)
 
     # -- extras ----------------------------------------------------------------
     def wipe(self) -> None:
         """Delete every subfile on every server (format helper)."""
-        for d in self._dirs:
-            shutil.rmtree(d)
-            d.mkdir(parents=True, exist_ok=True)
+        for store in self._stores:
+            store.wipe()

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 from ..errors import FileSystemError
 from ..util import Extent
-from .base import ServerInfo, StorageBackend
+from .base import ServerInfo, StorageBackend, check_extents
 
 __all__ = ["MemoryBackend"]
 
@@ -62,9 +62,10 @@ class MemoryBackend(StorageBackend):
 
     def rename_subfile(self, server: int, old: str, new: str) -> None:
         self._check_server(server)
-        blob = self._store[server].pop(old, None)
-        if blob is not None:
-            self._store[server][new] = blob
+        store = self._store[server]
+        if old not in store:
+            raise FileSystemError(f"no subfile {old!r} on server {server}")
+        store[new] = store.pop(old)
 
     def list_subfiles(self, server: int) -> list[str]:
         self._check_server(server)
@@ -84,6 +85,7 @@ class MemoryBackend(StorageBackend):
         self, server: int, name: str, extents: Sequence[Extent]
     ) -> bytes:
         self._check_server(server)
+        check_extents(extents)
         with self._io_locks[server]:
             blob = self._store[server].get(name)
             if blob is None:
@@ -91,8 +93,6 @@ class MemoryBackend(StorageBackend):
             out = bytearray()
             size = len(blob)
             for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
                 chunk = bytes(blob[off : min(off + ln, size)])
                 if len(chunk) < ln:                   # sparse tail → zeros
                     chunk += b"\x00" * (ln - len(chunk))
@@ -103,15 +103,13 @@ class MemoryBackend(StorageBackend):
         self, server: int, name: str, extents: Sequence[Extent], data: bytes
     ) -> None:
         self._check_server(server)
-        self._check_payload(extents, data)
+        check_extents(extents, data)
         with self._io_locks[server]:
             blob = self._store[server].get(name)
             if blob is None:
                 raise FileSystemError(f"no subfile {name!r} on server {server}")
             pos = 0
             for off, ln in extents:
-                if off < 0 or ln < 0:
-                    raise FileSystemError(f"invalid extent ({off}, {ln})")
                 end = off + ln
                 if end > len(blob):
                     blob.extend(b"\x00" * (end - len(blob)))

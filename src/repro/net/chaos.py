@@ -193,6 +193,11 @@ class ChaosProxy:
     def stop(self) -> None:
         self._closed = True
         try:
+            # shutdown wakes the accept() thread; close alone leaves it blocked
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass

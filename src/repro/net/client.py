@@ -374,6 +374,11 @@ class ServerConnection:
             raise ConnectionLost(
                 f"I/O error talking to {self.host}:{self.port}: {exc}"
             ) from exc
+        except BaseException:
+            # anything else (e.g. an unencodable header) still leaves the
+            # socket's state unknown: discard it so the pool slot frees
+            self._discard(sock)
+            raise
         self._checkin(sock)
         self._record_success()
         obs = self._obs
@@ -392,7 +397,7 @@ class ServerConnection:
         if not reply.get("ok"):
             kind = reply.get("kind", "ServerError")
             message = reply.get("error", "unknown server error")
-            if kind == "FileNotFoundError":
+            if kind == "FileSystemError":
                 raise FileSystemError(message)
             if kind == "ServerBusy":
                 raise ServerBusyError(f"{kind}: {message}")
@@ -635,7 +640,6 @@ class RemoteBackend(StorageBackend):
         self, server: int, name: str, extents: Sequence[Extent], data: bytes
     ) -> None:
         self._check_server(server)
-        self._check_payload(extents, data)
         self.connections[server].write(name, extents, data)
 
     def server_health(self, server: int) -> int:

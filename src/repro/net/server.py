@@ -1,11 +1,16 @@
 """The DPFS server program (§2).
 
-One server process sits on one storage device, stores subfiles on its
-local file system, and services client requests — "the server ... uses
-the local file system API to actually perform I/O".  Concurrency comes
-from a thread per connection (the paper's servers "spawn multiple
-processes or threads" per request); actual disk I/O is serialized per
-subfile by a lock, mirroring the sequential nature of the device.
+One server process sits on one storage device and services client
+requests — "the server ... uses the local file system API to actually
+perform I/O".  It is a thin wire adapter over the same subfile store
+:class:`~repro.backends.local.LocalBackend` uses
+(:class:`~repro.backends.local.SubfileDir`, one over the server root):
+it decodes frames, applies the admission gate (``max_concurrent``,
+``io_delay_s``), calls the store and records metrics.  Concurrency
+comes from a thread per connection (the paper's servers "spawn multiple
+processes or threads" per request); extent reads and writes are
+serialized by one per-device lock, mirroring the sequential nature of
+the device (§4.2).
 
 Run standalone::
 
@@ -25,13 +30,11 @@ import socketserver
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from typing import Any
 
-from ..backends.local import escape_subfile_name
+from ..backends.local import SubfileDir
 from ..errors import ProtocolError
 from ..obs.registry import MetricsRegistry
-from ..util import Extent
 from .protocol import OPS, recv_message, send_message
 
 __all__ = ["DPFSServer"]
@@ -99,8 +102,7 @@ class DPFSServer:
         max_concurrent: int | None = None,
         io_delay_s: float = 0.0,
     ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.store = SubfileDir(root)
         self.capacity = capacity
         self.performance = performance
         self.max_concurrent = max_concurrent
@@ -147,9 +149,10 @@ class DPFSServer:
         return self._tcp.server_address  # type: ignore[return-value]
 
     def start(self) -> "DPFSServer":
+        # a short poll so stop() does not wait out the default 0.5 s
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name=f"dpfs-server-{self.address[1]}",
-            daemon=True,
+            target=self._tcp.serve_forever, args=(0.05,),
+            name=f"dpfs-server-{self.address[1]}", daemon=True,
         )
         self._thread.start()
         return self
@@ -168,9 +171,6 @@ class DPFSServer:
         self.stop()
 
     # -- request dispatch -----------------------------------------------------
-    def _path(self, name: str) -> Path:
-        return self.root / escape_subfile_name(name)
-
     def _dispatch(self, header: dict[str, Any], payload: bytes) -> tuple[dict[str, Any], bytes]:
         op = header.get("op")
         if op not in OPS:
@@ -266,82 +266,30 @@ class DPFSServer:
                 b"",
             )
         if op == "list":
-            from ..backends.local import unescape_subfile_name
-
-            names = sorted(
-                unescape_subfile_name(p.name)
-                for p in self.root.iterdir()
-                if p.is_file()
-            )
-            return {"ok": True, "names": names}, b""
+            return {"ok": True, "names": self.store.list()}, b""
         name = header.get("name")
         if not isinstance(name, str) or not name:
             raise ProtocolError("missing subfile name")
-        path = self._path(name)
-        if op == "create":
-            path.touch()
-            return {"ok": True}, b""
-        if op == "delete":
-            if path.exists():
-                path.unlink()
-            return {"ok": True}, b""
         if op == "exists":
-            return {"ok": True, "exists": path.exists()}, b""
+            return {"ok": True, "exists": self.store.exists(name)}, b""
+        if op == "size":
+            return {"ok": True, "size": self.store.size(name)}, b""
         if op == "rename":
             new_name = header.get("new_name")
             if not isinstance(new_name, str) or not new_name:
                 raise ProtocolError("rename needs new_name")
-            if not path.exists():
-                # a silent ok here would let metadata and storage
-                # diverge unnoticed; fail loudly like ``size`` does
-                raise FileNotFoundError(f"no subfile {name!r}")
-            path.replace(self._path(new_name))
-            return {"ok": True}, b""
-        if op == "size":
-            if not path.exists():
-                raise FileNotFoundError(f"no subfile {name!r}")
-            return {"ok": True, "size": path.stat().st_size}, b""
-        extents = [
-            (int(off), int(ln)) for off, ln in header.get("extents", [])
-        ]
-        for off, ln in extents:
-            if off < 0 or ln < 0:
-                raise ProtocolError(f"invalid extent ({off}, {ln})")
-        if op == "read":
-            return {"ok": True}, self._read(path, name, extents)
-        # write
-        total = sum(ln for _o, ln in extents)
-        if total != len(payload):
-            raise ProtocolError(
-                f"extents cover {total} bytes but payload is {len(payload)}"
-            )
-        self._write(path, name, extents, payload)
+            self.store.rename(name, new_name)
+        elif op == "create":
+            self.store.create(name)
+        elif op == "delete":
+            self.store.delete(name)
+        else:
+            extents = [
+                (int(off), int(ln)) for off, ln in header.get("extents", [])
+            ]
+            # device I/O is serialized: the disk is sequential (§4.2)
+            with self._io_lock:
+                if op == "read":
+                    return {"ok": True}, self.store.read(name, extents)
+                self.store.write(name, extents, payload)
         return {"ok": True}, b""
-
-    # -- local I/O (serialized — the device is sequential, §4.2) ------------
-    def _read(self, path: Path, name: str, extents: list[Extent]) -> bytes:
-        if not path.exists():
-            raise FileNotFoundError(f"no subfile {name!r}")
-        out = bytearray()
-        with self._io_lock, open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            for off, ln in extents:
-                if off < size:
-                    fh.seek(off)
-                    chunk = fh.read(min(ln, size - off))
-                else:
-                    chunk = b""
-                if len(chunk) < ln:
-                    chunk += b"\x00" * (ln - len(chunk))
-                out += chunk
-        return bytes(out)
-
-    def _write(self, path: Path, name: str, extents: list[Extent], payload: bytes) -> None:
-        if not path.exists():
-            raise FileNotFoundError(f"no subfile {name!r}")
-        pos = 0
-        with self._io_lock, open(path, "r+b") as fh:
-            for off, ln in extents:
-                fh.seek(off)
-                fh.write(payload[pos : pos + ln])
-                pos += ln

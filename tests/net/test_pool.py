@@ -9,6 +9,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.core import DPFS, Hint
@@ -83,6 +84,25 @@ def test_closed_pool_rejects_requests(server):
     conn.close()
     with pytest.raises(TransportError):
         conn.exists("/f")
+
+
+def test_failed_encode_frees_the_pool_slot(server):
+    """An exception other than OSError/ProtocolError between checkout and
+    checkin (numpy ints are not JSON-encodable) used to leak the socket,
+    so with one slot the next request waited in checkout forever."""
+    conn = ServerConnection(*server.address, pool_size=1)
+    conn.create("/f")
+    with pytest.raises(TypeError):
+        conn.read("/f", [(np.int64(0), np.int64(4))])
+    result = []
+    t = threading.Thread(target=lambda: result.append(conn.exists("/f")), daemon=True)
+    t.start()
+    t.join(timeout=5)
+    try:
+        assert not t.is_alive(), "request after the failed one hung in checkout"
+        assert result == [True]
+    finally:
+        conn.close()
 
 
 def test_retried_requests_counter_is_thread_safe(server):

@@ -149,3 +149,16 @@ def test_rename_missing_subfile_raises(conn):
     # the connection survives the error (no desync, no discard)
     conn.create("/ok")
     assert conn.exists("/ok")
+
+
+def test_server_rejects_bad_extents_before_writing(conn):
+    """Extents arrive off the wire unchecked by the connection; the
+    server validates the whole list before the first byte lands."""
+    conn.create("/f")
+    conn.write("/f", [(0, 4)], b"keep")
+    with pytest.raises(FileSystemError):
+        conn.write("/f", [(0, 4), (-8, 4)], b"abcdefgh")
+    with pytest.raises(FileSystemError):
+        conn.write("/f", [(0, 4), (8, 4)], b"abcdef")
+    assert conn.read("/f", [(0, 4)]) == b"keep"
+    assert conn.size("/f") == 4
