@@ -160,6 +160,7 @@ class DPFS:
         #: no-op fast path.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=tracing)
+        self.db.bind_metrics(self.metrics)
         #: shared per-server request scheduler (repro.core.dispatch).
         #: ``io_workers`` caps the fan-out; backends that declare
         #: ``parallel_safe = False`` are driven sequentially regardless.
@@ -641,8 +642,8 @@ class DPFS:
         return self.meta.tree_usage(path)
 
     def df(self) -> list[dict[str, Any]]:
-        """Per-server capacity report: the DPFS-SERVER table plus the
-        physical bytes each server's bricks occupy."""
+        """Per-server capacity report: the DPFS-SERVER table, with the
+        physical bytes each server's bricks occupy (its ``used``)."""
         usage = self.meta.server_usage()
         report = []
         for row in self.meta.servers():
@@ -768,7 +769,9 @@ class DPFS:
         else:
             for size in sizes:
                 brick_map.append(policy.assign_next(), size)
-        self._check_capacity(brick_map, replica_map)
+        # pre-flight, so a create that cannot fit makes no subfiles;
+        # create_file repeats the check inside its transaction
+        self.meta.check_capacity(brick_map, replica_map, self._server_names)
         record = FileRecord(
             path=norm,
             owner=self.owner,
@@ -833,24 +836,6 @@ class DPFS:
         crashpoint(CP_CREATE_AFTER_METADATA)
         self.intents.retire(intent)
         return record, brick_map, replica_map
-
-    def _check_capacity(
-        self, brick_map: BrickMap, replica_map: ReplicaMap | None = None
-    ) -> None:
-        """Reject creations that would exceed a server's capacity (the
-        DPFS-SERVER ``capacity`` attribute tells clients how much space
-        each node can still take, §5).  Replica copies count in full."""
-        usage = self.meta.server_usage()
-        for info, server in zip(self.backend.servers, range(self.backend.n_servers)):
-            needed = brick_map.subfile_size(server)
-            if replica_map is not None:
-                needed += replica_map.subfile_size(server)
-            used = usage.get(server, 0)
-            if needed and used + needed > info.capacity:
-                raise FileSystemError(
-                    f"server {server} ({info.name}) lacks capacity: "
-                    f"{used + needed} > {info.capacity} bytes"
-                )
 
     # -- internal hooks used by FileHandle ------------------------------------
     def _grow_file(self, handle: FileHandle, new_size: int) -> None:

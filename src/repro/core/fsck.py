@@ -31,7 +31,9 @@ With ``deep=True`` (the default) fsck additionally runs the scrubber's
 copy verification over every file, surfacing ``checksum-mismatch``,
 ``stale-checksum``, ``replica-divergence`` and ``unreadable-copy``
 findings with the same repair semantics as ``dpfs scrub``
-(:mod:`repro.core.scrub`).
+(:mod:`repro.core.scrub`), and recounts every server's bytes from the
+bricklists: a ``bad-usage`` finding means the DPFS-SERVER ``used``
+column disagrees with that recount (repair: rewrite ``used``).
 
     report = fsck(fs)
     if not report.clean:
@@ -203,6 +205,29 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                         cf.repaired,
                     )
                 )
+
+        recount = meta._recount_server_usage()
+        stored = meta.server_usage()
+        for row in meta.servers():
+            server_id = row["server_id"]
+            if stored[server_id] == recount[server_id]:
+                continue
+            repaired = False
+            if repair:
+                meta.db.execute(
+                    "UPDATE dpfs_server SET used = ? WHERE server_id = ?",
+                    [recount[server_id], server_id],
+                )
+                repaired = True
+            report.findings.append(
+                Finding(
+                    "bad-usage",
+                    row["server_name"],
+                    f"server {server_id} records {stored[server_id]} bytes "
+                    f"used, its bricklists hold {recount[server_id]}",
+                    repaired,
+                )
+            )
 
     # -- pass 2: directory tree ↔ attr rows -----------------------------------
     dir_rows: dict[str, tuple[list[str], list[str]]] = {}

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import IntentError, MetaDBError
+from ..errors import IntentError
 from ..metadb import Database
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,11 +113,8 @@ class IntentLog:
         a recovery sweep with any grace period still picks them up (a
         journal left by an older client is by definition abandoned).
         """
-        try:
-            self.db.execute("SELECT created_at FROM dpfs_intent")
+        if "created_at" in self.db.column_names("dpfs_intent"):
             return
-        except MetaDBError:
-            pass
         rows = self.db.execute(
             "SELECT intent_id, op, args, steps, done, commit_step "
             "FROM dpfs_intent"

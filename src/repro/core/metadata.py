@@ -6,11 +6,15 @@ multi-table updates.  We reproduce the same four tables (hyphens in the
 paper's names become underscores — SQL identifiers):
 
 ``dpfs_server``
-    server_id, server_name, capacity, performance — the I/O node
-    registry the greedy placement algorithm reads.
+    server_id, server_name, capacity, performance, used — the I/O node
+    registry the greedy placement algorithm reads.  ``used`` is the
+    bytes of primary plus replica bricks the server holds; every file
+    mutation updates it in its own transaction, so the paper's "how much
+    space each node can still take" is one row read, not a file scan.
 ``dpfs_file_distribution``
     server_name, filename, bricklist (JSON) — how each file's bricks
-    are spread over subfiles.
+    are spread over subfiles.  Only servers that hold bricks of the
+    file have a row; a missing row means an empty bricklist.
 ``dpfs_directory``
     main_dir, sub_dirs (JSON), files (JSON) — the directory tree.
 ``dpfs_file_attr``
@@ -36,6 +40,7 @@ from typing import Any
 from ..errors import (
     FileExists,
     FileNotFound,
+    FileSystemError,
     InvalidPath,
     MetaDBError,
 )
@@ -45,6 +50,19 @@ from .checksum import CRC_ALGORITHM
 from .striping import FileLevel
 
 __all__ = ["MetadataManager", "FileRecord", "normalize_path", "split_path"]
+
+_SERVER_TABLE = (
+    "CREATE TABLE IF NOT EXISTS dpfs_server ("
+    " server_id INTEGER PRIMARY KEY,"
+    " server_name TEXT NOT NULL UNIQUE,"
+    " capacity INTEGER NOT NULL,"
+    " performance REAL NOT NULL,"
+    " used INTEGER NOT NULL DEFAULT 0)"
+)
+
+#: the two bricklist tables; a file's bytes on a server are the sizes of
+#: the bricks listed in its rows of both
+_BRICKLIST_TABLES = ("dpfs_file_distribution", "dpfs_file_replica")
 
 
 def normalize_path(path: str) -> str:
@@ -112,13 +130,7 @@ class MetadataManager:
     # schema & servers
     # ------------------------------------------------------------------
     def _ensure_schema(self) -> None:
-        self.db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_server ("
-            " server_id INTEGER PRIMARY KEY,"
-            " server_name TEXT NOT NULL UNIQUE,"
-            " capacity INTEGER NOT NULL,"
-            " performance REAL NOT NULL)"
-        )
+        self.db.execute(_SERVER_TABLE)
         self.db.execute(
             "CREATE TABLE IF NOT EXISTS dpfs_file_distribution ("
             " dist_id TEXT PRIMARY KEY,"      # f"{server}|{filename}"
@@ -163,6 +175,32 @@ class MetadataManager:
                 "INSERT INTO dpfs_directory VALUES ('/', ?, ?)",
                 [[], []],
             )
+        if "used" not in self.db.column_names("dpfs_server"):
+            self._migrate_server_used()
+
+    def _migrate_server_used(self) -> None:
+        """Rebuild a ``dpfs_server`` written before ``used`` existed.
+
+        The metadata engine has no ALTER TABLE, so the table is dropped
+        and re-created in one transaction, each server's ``used`` taken
+        from a recount over the bricklists.
+        """
+        usage = self._recount_server_usage()
+        rows = self.servers()
+        with self.db.transaction():
+            self.db.execute("DROP TABLE dpfs_server")
+            self.db.execute(_SERVER_TABLE)
+            for row in rows:
+                self.db.execute(
+                    "INSERT INTO dpfs_server VALUES (?, ?, ?, ?, ?)",
+                    [
+                        row["server_id"],
+                        row["server_name"],
+                        row["capacity"],
+                        row["performance"],
+                        usage[row["server_id"]],
+                    ],
+                )
 
     def register_servers(self, infos: list[Any]) -> None:
         """Record the backend's servers in dpfs_server (idempotent)."""
@@ -180,7 +218,8 @@ class MetadataManager:
                     )
                 else:
                     self.db.execute(
-                        "INSERT INTO dpfs_server VALUES (?, ?, ?, ?)",
+                        "INSERT INTO dpfs_server (server_id, server_name,"
+                        " capacity, performance) VALUES (?, ?, ?, ?)",
                         [idx, info.name, info.capacity, info.performance],
                     )
 
@@ -290,7 +329,12 @@ class MetadataManager:
         server_names: list[str],
         replica_map: ReplicaMap | None = None,
     ) -> None:
-        """Insert attr + distribution rows and link into the directory."""
+        """Insert attr + distribution rows, link into the directory and
+        charge the bricks to each server's ``used``.
+
+        The capacity check runs inside this transaction, so two
+        concurrent creates cannot both take a server's last bytes.
+        """
         norm = normalize_path(record.path)
         parent, base = split_path(norm)
         with self.db.transaction():
@@ -299,6 +343,7 @@ class MetadataManager:
                 raise FileNotFound(f"no such directory: {parent}")
             if self.file_exists(norm) or self._dir_row(norm) is not None:
                 raise FileExists(norm)
+            needed = self.check_capacity(brick_map, replica_map, server_names)
             files = list(parent_row["files"])
             files.append(base)
             self.db.execute(
@@ -330,22 +375,15 @@ class MetadataManager:
                     record.placement,
                 ],
             )
-            for server, bricklist in enumerate(brick_map.to_lists()):
-                self.db.execute(
-                    "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)",
-                    [
-                        f"{server_names[server]}|{norm}",
-                        server_names[server],
-                        norm,
-                        bricklist,
-                    ],
-                )
+            maps = [("dpfs_file_distribution", brick_map.to_lists())]
             if replica_map is not None:
-                for server, bricklist in enumerate(replica_map.to_lists()):
+                maps.append(("dpfs_file_replica", replica_map.to_lists()))
+            for table, bricklists in maps:
+                for server, bricklist in enumerate(bricklists):
                     if not bricklist:
                         continue
                     self.db.execute(
-                        "INSERT INTO dpfs_file_replica VALUES (?, ?, ?, ?)",
+                        f"INSERT INTO {table} VALUES (?, ?, ?, ?)",
                         [
                             f"{server_names[server]}|{norm}",
                             server_names[server],
@@ -353,6 +391,35 @@ class MetadataManager:
                             bricklist,
                         ],
                     )
+            self._charge_usage(needed)
+
+    def check_capacity(
+        self,
+        brick_map: BrickMap,
+        replica_map: ReplicaMap | None,
+        server_names: list[str],
+    ) -> dict[str, int]:
+        """Bytes a new file's bricks and replicas add to each server, by
+        name; raises :class:`FileSystemError` when a server's ``used``
+        plus its share would pass its ``capacity`` (§5: the capacity
+        attribute tells clients how much space each node can still
+        take)."""
+        needed = {
+            server_names[s]: brick_map.subfile_size(s)
+            + (replica_map.subfile_size(s) if replica_map is not None else 0)
+            for s in range(brick_map.n_servers)
+        }
+        for row in self.db.execute(
+            "SELECT server_id, server_name, capacity, used FROM dpfs_server"
+        ).rows:
+            want = needed.get(row["server_name"], 0)
+            if want and row["used"] + want > row["capacity"]:
+                raise FileSystemError(
+                    f"server {row['server_id']} ({row['server_name']}) "
+                    f"lacks capacity: {row['used'] + want} > "
+                    f"{row['capacity']} bytes"
+                )
+        return needed
 
     def load_file(self, path: str) -> tuple[FileRecord, BrickMap]:
         norm = normalize_path(path)
@@ -428,29 +495,34 @@ class MetadataManager:
         """Rewrite replica bricklists after a replicated file grew."""
         norm = normalize_path(path)
         with self.db.transaction():
-            self._upsert_replica_rows(norm, replica_map, server_names)
+            before = self._file_usage(norm)
+            self._upsert_rows(
+                "dpfs_file_replica", norm, replica_map.to_lists(), server_names
+            )
+            self._charge_delta(norm, before)
 
-    def _upsert_replica_rows(
-        self, norm: str, replica_map: ReplicaMap, server_names: list[str]
+    def _upsert_rows(
+        self,
+        table: str,
+        norm: str,
+        bricklists: list[list[int]],
+        server_names: list[str],
     ) -> None:
-        """Write replica bricklist rows (caller holds the transaction)."""
-        for server, bricklist in enumerate(replica_map.to_lists()):
-            if not bricklist:
-                continue
+        """Write one file's bricklist rows of ``table``; a server with no
+        row and no bricks gets none (caller holds the transaction)."""
+        for server, bricklist in enumerate(bricklists):
             dist_id = f"{server_names[server]}|{norm}"
             existing = self.db.execute(
-                "SELECT dist_id FROM dpfs_file_replica WHERE dist_id = ?",
-                [dist_id],
+                f"SELECT dist_id FROM {table} WHERE dist_id = ?", [dist_id]
             ).rows
             if existing:
                 self.db.execute(
-                    "UPDATE dpfs_file_replica SET bricklist = ? "
-                    "WHERE dist_id = ?",
+                    f"UPDATE {table} SET bricklist = ? WHERE dist_id = ?",
                     [bricklist, dist_id],
                 )
-            else:
+            elif bricklist:
                 self.db.execute(
-                    "INSERT INTO dpfs_file_replica VALUES (?, ?, ?, ?)",
+                    f"INSERT INTO {table} VALUES (?, ?, ?, ?)",
                     [dist_id, server_names[server], norm, bricklist],
                 )
 
@@ -505,8 +577,13 @@ class MetadataManager:
         """Rewrite bricklists + geometry after a file grew (linear level)."""
         norm = normalize_path(path)
         with self.db.transaction():
+            before = self._file_usage(norm)
             self._grow_geometry(norm, brick_sizes)
-            self._upsert_distribution_rows(norm, brick_map, server_names)
+            self._upsert_rows(
+                "dpfs_file_distribution", norm, brick_map.to_lists(),
+                server_names,
+            )
+            self._charge_delta(norm, before)
 
     def _grow_geometry(self, norm: str, brick_sizes: list[int]) -> None:
         """Extend geometry's brick_sizes/brick_crcs (caller holds txn)."""
@@ -529,29 +606,6 @@ class MetadataManager:
             [geometry, norm],
         )
 
-    def _upsert_distribution_rows(
-        self, norm: str, brick_map: BrickMap, server_names: list[str]
-    ) -> None:
-        """Write distribution bricklist rows (caller holds the transaction)."""
-        for server, bricklist in enumerate(brick_map.to_lists()):
-            dist_id = f"{server_names[server]}|{norm}"
-            existing = self.db.execute(
-                "SELECT dist_id FROM dpfs_file_distribution "
-                "WHERE dist_id = ?",
-                [dist_id],
-            ).rows
-            if existing:
-                self.db.execute(
-                    "UPDATE dpfs_file_distribution SET bricklist = ? "
-                    "WHERE dist_id = ?",
-                    [bricklist, dist_id],
-                )
-            else:
-                self.db.execute(
-                    "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)",
-                    [dist_id, server_names[server], norm, bricklist],
-                )
-
     def grow_file(
         self,
         path: str,
@@ -571,21 +625,30 @@ class MetadataManager:
         """
         norm = normalize_path(path)
         with self.db.transaction():
+            before = self._file_usage(norm)
             self._grow_geometry(norm, brick_sizes)
-            self._upsert_distribution_rows(norm, brick_map, server_names)
+            self._upsert_rows(
+                "dpfs_file_distribution", norm, brick_map.to_lists(),
+                server_names,
+            )
             if replica_map is not None:
-                self._upsert_replica_rows(norm, replica_map, server_names)
+                self._upsert_rows(
+                    "dpfs_file_replica", norm, replica_map.to_lists(),
+                    server_names,
+                )
             self.db.execute(
                 "UPDATE dpfs_file_attr SET size = ? WHERE filename = ?",
                 [new_size, norm],
             )
+            self._charge_delta(norm, before)
 
     def remove_file(self, path: str) -> None:
         norm = normalize_path(path)
         parent, base = split_path(norm)
         with self.db.transaction():
-            if not self.file_exists(norm):
-                raise FileNotFound(norm)
+            self._charge_usage(
+                {name: -nbytes for name, nbytes in self._file_usage(norm).items()}
+            )
             parent_row = self._dir_row(parent)
             if parent_row is not None:
                 files = [f for f in parent_row["files"] if f != base]
@@ -657,7 +720,7 @@ class MetadataManager:
                 "UPDATE dpfs_file_attr SET filename = ? WHERE filename = ?",
                 [new_norm, old_norm],
             )
-            for table in ("dpfs_file_distribution", "dpfs_file_replica"):
+            for table in _BRICKLIST_TABLES:
                 rows = self.db.execute(
                     f"SELECT dist_id, server_name FROM {table} "
                     "WHERE filename = ?",
@@ -691,26 +754,69 @@ class MetadataManager:
         return total
 
     def server_usage(self) -> dict[int, int]:
-        """Physical bytes each server holds (sum of its bricks' sizes)."""
-        order = {row["server_name"]: row["server_id"] for row in self.servers()}
-        usage = {server_id: 0 for server_id in order.values()}
-        attrs = {
-            row["filename"]: row["geometry"]["brick_sizes"]
+        """Physical bytes each server holds: the ``used`` column."""
+        return {
+            row["server_id"]: row["used"]
             for row in self.db.execute(
-                "SELECT filename, geometry FROM dpfs_file_attr"
+                "SELECT server_id, used FROM dpfs_server"
             ).rows
         }
-        for table in ("dpfs_file_distribution", "dpfs_file_replica"):
+
+    # -- server usage accounting (caller holds the transaction) ---------------
+    def _file_usage(self, norm: str) -> dict[str, int]:
+        """One file's primary plus replica bytes per server name;
+        raises :class:`FileNotFound` when there is no such file."""
+        rows = self.db.execute(
+            "SELECT geometry FROM dpfs_file_attr WHERE filename = ?", [norm]
+        ).rows
+        if not rows:
+            raise FileNotFound(norm)
+        sizes = rows[0]["geometry"]["brick_sizes"]
+        usage: dict[str, int] = {}
+        for table in _BRICKLIST_TABLES:
             for row in self.db.execute(
-                f"SELECT server_name, filename, bricklist FROM {table}"
+                f"SELECT server_name, bricklist FROM {table} WHERE filename = ?",
+                [norm],
             ).rows:
-                sizes = attrs.get(row["filename"])
-                if sizes is None:
-                    continue
-                server_id = order.get(row["server_name"])
-                if server_id is None:
-                    continue
-                usage[server_id] += sum(sizes[b] for b in row["bricklist"])
+                name = row["server_name"]
+                usage[name] = usage.get(name, 0) + _bytes_of(
+                    row["bricklist"], sizes
+                )
+        return usage
+
+    def _charge_usage(self, delta: dict[str, int]) -> None:
+        """Add ``delta`` bytes (per server name) to ``dpfs_server.used``."""
+        for name, nbytes in delta.items():
+            if nbytes:
+                self.db.execute(
+                    "UPDATE dpfs_server SET used = used + ? "
+                    "WHERE server_name = ?",
+                    [nbytes, name],
+                )
+
+    def _charge_delta(self, norm: str, before: dict[str, int]) -> None:
+        """Charge the change in a file's usage since ``before``."""
+        after = self._file_usage(norm)
+        self._charge_usage(
+            {
+                name: after.get(name, 0) - before.get(name, 0)
+                for name in after.keys() | before.keys()
+            }
+        )
+
+    def _recount_server_usage(self) -> dict[int, int]:
+        """Recount every server's bytes from all bricklists.
+
+        Visits every file: only fsck (which checks ``used`` against it)
+        and the schema migration call this.  File by file, so it holds
+        one file's rows at a time, not a copy of the tables.
+        """
+        order = {row["server_name"]: row["server_id"] for row in self.servers()}
+        usage = {server_id: 0 for server_id in order.values()}
+        for path in self.iter_files():
+            for name, nbytes in self._file_usage(path).items():
+                if name in order:
+                    usage[order[name]] += nbytes
         return usage
 
     def set_permission(self, path: str, permission: int) -> None:
@@ -744,3 +850,9 @@ class MetadataManager:
                 "SELECT filename FROM dpfs_file_attr ORDER BY filename"
             ).rows
         ]
+
+
+def _bytes_of(bricklist: list[int], sizes: list[int]) -> int:
+    """Bytes of the listed bricks; ids without a size (a corrupt map,
+    which fsck reports as ``bad-brick-map``) count as zero."""
+    return sum(sizes[b] for b in bricklist if 0 <= b < len(sizes))

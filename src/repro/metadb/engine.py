@@ -99,6 +99,8 @@ class Database:
         self._undo: list[RedoOp] = []
         self._redo: list[RedoOp] = []
         self._plan_cache: dict[str, Statement] = {}
+        #: bound counter of rows visited by scans and probes (bind_metrics)
+        self._c_examined = None
         self.path = Path(path) if path is not None else None
         self._wal: WriteAheadLog | None = None
         if self.path is not None:
@@ -168,8 +170,23 @@ class Database:
     def in_transaction(self) -> bool:
         return self._in_txn
 
+    def bind_metrics(self, registry) -> None:
+        """Count the rows every statement's full scan or index probe
+        visits, from now on, as ``dpfs_metadb_rows_examined_total`` in
+        ``registry``."""
+        self._c_examined = registry.counter(
+            "dpfs_metadb_rows_examined_total",
+            "metadata rows visited by full scans and index probes",
+        ).labels()
+
     def table_names(self) -> list[str]:
         return sorted(self.tables)
+
+    def column_names(self, table: str) -> list[str]:
+        """The columns of ``table`` in schema order (a schema probe that,
+        unlike a SELECT, also answers for an empty table)."""
+        with self._lock:
+            return list(self._get_table(table).column_names)
 
     def close(self) -> None:
         if self._in_txn:
@@ -365,16 +382,26 @@ class Database:
     def _matching_rowids(
         self, table: Table, where: Expr | None, params: list[Any]
     ) -> list[int]:
-        """Row ids satisfying WHERE, via unique index when possible."""
+        """Row ids satisfying WHERE, via an index when possible.
+
+        The rows visited — the probe's hits, or the whole table — count
+        toward the rows-examined counter once one is bound.
+        """
+        rowids = None
         if where is not None:
-            fast = self._index_probe(table, where, params)
-            if fast is not None:
-                return fast
-        out: list[int] = []
-        for rowid, row in table.scan():
-            if where is None or truthy(evaluate(where, row, params)):
-                out.append(rowid)
-        return out
+            rowids = self._index_probe(table, where, params)
+        if rowids is None:
+            examined = len(table)
+            rowids = [
+                rowid
+                for rowid, row in table.scan()
+                if where is None or truthy(evaluate(where, row, params))
+            ]
+        else:
+            examined = len(rowids)
+        if self._c_examined is not None:
+            self._c_examined.inc(examined)
+        return rowids
 
     def _index_probe(
         self, table: Table, where: Expr, params: list[Any]
@@ -394,9 +421,9 @@ class Database:
             column, constant = where.right, where.left
         if column is None:
             return None
-        index = table.indexes.get(column.name) or table.secondary_for_column(
-            column.name
-        )
+        index = table.indexes.get(column.name)
+        if index is None:
+            index = table.secondary_for_column(column.name)
         if index is None:
             return None
         value = evaluate(constant, {}, params)

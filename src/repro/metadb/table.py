@@ -14,7 +14,7 @@ from typing import Any, Iterator
 
 from ..errors import ConstraintError, SchemaError
 from .ast_nodes import ColumnDef
-from .index import HashIndex
+from .index import HashIndex, UniqueIndex
 
 __all__ = ["Column", "Table"]
 
@@ -115,8 +115,8 @@ class Table:
         self._by_name = {c.name: c for c in columns}
         self.rows: dict[int, dict[str, Any]] = {}
         self._next_rowid = 1
-        self.indexes: dict[str, HashIndex] = {
-            c.name: HashIndex(c.name) for c in columns if c.unique
+        self.indexes: dict[str, UniqueIndex] = {
+            c.name: UniqueIndex(c.name) for c in columns if c.unique
         }
         #: non-unique secondary indexes: index name → (column, HashIndex)
         self.secondary: dict[str, tuple[str, HashIndex]] = {}
@@ -142,11 +142,6 @@ class Table:
             if col == column:
                 return index
         return None
-
-    def _all_indexes(self):
-        yield from self.indexes.items()
-        for _name, (column, index) in self.secondary.items():
-            yield column, index
 
     # -- schema ------------------------------------------------------------
     def column(self, name: str) -> Column:
@@ -198,7 +193,7 @@ class Table:
         row = self.prepare_row(values)
         for col_name, index in self.indexes.items():
             value = row[col_name]
-            if value is not None and index.lookup(value):
+            if index.get(value) is not None:
                 raise ConstraintError(
                     f"duplicate value {value!r} for unique column "
                     f"{self.name}.{col_name}"
@@ -235,13 +230,12 @@ class Table:
             new[name] = coerced
         for col_name, index in self.indexes.items():
             if new[col_name] != old[col_name]:
-                if new[col_name] is not None:
-                    existing = index.lookup(new[col_name])
-                    if existing and existing != {rowid}:
-                        raise ConstraintError(
-                            f"duplicate value {new[col_name]!r} for unique "
-                            f"column {self.name}.{col_name}"
-                        )
+                owner = index.get(new[col_name])
+                if owner is not None and owner != rowid:
+                    raise ConstraintError(
+                        f"duplicate value {new[col_name]!r} for unique "
+                        f"column {self.name}.{col_name}"
+                    )
         for col_name, index in self.indexes.items():
             if new[col_name] != old[col_name]:
                 index.remove(old[col_name], rowid)

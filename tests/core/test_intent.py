@@ -189,6 +189,26 @@ def test_journal_without_timestamps_migrates_as_abandoned(tmp_path):
     assert got.created_at == 0.0
 
 
+def test_empty_journal_without_timestamps_migrates(tmp_path):
+    """An old journal with no rows still gains ``created_at`` (a SELECT
+    of the missing column finds no row to fail on, so the schema is
+    what decides), and new intents can be journalled into it."""
+    db = Database(tmp_path / "meta.db")
+    db.execute(
+        "CREATE TABLE dpfs_intent ("
+        " intent_id TEXT PRIMARY KEY,"
+        " op TEXT NOT NULL,"
+        " args JSON NOT NULL,"
+        " steps JSON NOT NULL,"
+        " done JSON NOT NULL,"
+        " commit_step TEXT NOT NULL)"
+    )
+    log = IntentLog(db)
+    assert "created_at" in db.column_names("dpfs_intent")
+    intent = log.begin("remove", {"path": "/f"}, ["remove-metadata"], "")
+    assert [i.intent_id for i in log.pending()] == [intent.intent_id]
+
+
 # ---------------------------------------------------------------------------
 # satellite: all-servers fan-out with aggregate errors
 # ---------------------------------------------------------------------------

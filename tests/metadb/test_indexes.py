@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import ConstraintError, SchemaError
 from repro.metadb import Database
 
 
@@ -115,3 +115,76 @@ def test_metadata_layer_uses_distribution_index():
     manager.register_servers(MemoryBackend(2).servers)
     table = manager.db.tables["dpfs_file_distribution"]
     assert "dist_by_filename" in table.secondary
+
+
+def test_rows_examined_counts_probe_hits_and_full_scans(db):
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    db.bind_metrics(registry)
+    counter = registry.get("dpfs_metadb_rows_examined_total")
+
+    def examined(sql, params=()):
+        before = counter.total()
+        db.execute(sql, params)
+        return counter.total() - before
+
+    for i in range(1000):
+        db.execute("INSERT INTO t VALUES (?, 'z', ?)", [f"k{i}", i])
+    assert examined("SELECT v FROM t WHERE k = ?", ["k500"]) == 1
+    assert examined("SELECT v FROM t WHERE k = 'nope'") == 0
+    assert examined("SELECT v FROM t WHERE grp = 'x'") == 2
+    assert examined("UPDATE t SET v = 0 WHERE k = 'a'") == 1
+    assert examined("SELECT v FROM t WHERE v > 990") == 1004
+
+
+def test_index_probe_never_sizes_the_index():
+    """A probe used to test the unique index for truthiness, which
+    summed every bucket — O(rows) per lookup.  Indexes have no size."""
+    from repro.metadb.index import HashIndex, UniqueIndex
+
+    assert not hasattr(HashIndex, "__len__")
+    assert not hasattr(UniqueIndex, "__len__")
+
+
+def test_unique_index_survives_key_swap_and_rollback(db):
+    with pytest.raises(ConstraintError):
+        db.execute("UPDATE t SET k = 'b' WHERE k = 'a'")
+    db.begin()
+    db.execute("UPDATE t SET k = 'z' WHERE k = 'a'")
+    db.execute("DELETE FROM t WHERE k = 'b'")
+    db.execute("INSERT INTO t VALUES ('a', 'q', 9)")
+    db.rollback()
+    rows = db.execute("SELECT k, v FROM t WHERE k = 'a'").rows
+    assert rows == [{"k": "a", "v": 1}]
+    assert db.execute("SELECT k FROM t WHERE k = 'z'").rows == []
+    assert db.execute("SELECT v FROM t WHERE k = 'b'").rows == [{"v": 2}]
+
+
+def test_column_names_answers_for_an_empty_table():
+    d = Database()
+    d.execute("CREATE TABLE e (a INTEGER PRIMARY KEY, b TEXT)")
+    assert d.column_names("e") == ["a", "b"]
+    with pytest.raises(SchemaError):
+        d.column_names("ghost")
+
+
+def test_hash_index_matches_a_set_model():
+    """Buckets switch between a bare rowid and a set as rows come and
+    go; lookups must always agree with a plain dict of sets."""
+    import random
+
+    from repro.metadb.index import HashIndex
+
+    rng = random.Random(7)
+    index, model = HashIndex("c"), {}
+    for _ in range(2000):
+        value, rowid = rng.choice("abc"), rng.randrange(6)
+        if rng.random() < 0.5:
+            index.add(value, rowid)
+            model.setdefault(value, set()).add(rowid)
+        else:
+            index.remove(value, rowid)
+            model.get(value, set()).discard(rowid)
+        for v in "abc":
+            assert index.lookup(v) == model.get(v, set())
