@@ -140,6 +140,10 @@ class BrickMap:
             counts[loc.server] += 1
         return counts
 
+    def copy(self) -> "BrickMap":
+        """An independent map to extend without touching this one."""
+        return BrickMap(self.n_servers, list(self.locations), list(self._server_tail))
+
     # -- (de)serialisation for the metadata tables -------------------------
     def to_lists(self) -> list[list[int]]:
         """Per-server brick id lists (what gets stored in the database)."""
@@ -266,6 +270,10 @@ class ReplicaMap:
 
     def to_lists(self) -> list[list[int]]:
         return [list(bl) for bl in self.bricklists]
+
+    def copy(self) -> "ReplicaMap":
+        """An independent map to extend without touching this one."""
+        return ReplicaMap.build(self.n_servers, self.bricklists, self._sizes)
 
     @classmethod
     def empty(cls, n_servers: int, sizes: Sequence[int]) -> "ReplicaMap":

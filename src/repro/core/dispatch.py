@@ -102,54 +102,27 @@ class DispatchPolicy:
 class DispatchResult:
     """Per-request completion record handed to ``on_result``.
 
-    ``latency_s`` is total wall time from first attempt to completion
-    (failed attempts and backoff sleeps included); ``service_s`` is the
-    duration of the *successful* attempt alone and ``backoff_s`` the
-    total time slept between attempts, so
-    ``latency_s >= service_s + backoff_s`` always holds and the
-    difference is time burnt in failed attempts.  ``queue_wait_s`` is
-    how long the request sat between submission and its first attempt.
+    ``retries`` counts the re-attempts the request needed (0 = first
+    try).  Timings are not carried here: the dispatcher records them
+    once, in its registry (``dpfs_dispatch_queue_wait_seconds``,
+    ``dpfs_dispatch_service_seconds``,
+    ``dpfs_dispatch_backoff_seconds_total``) and on the
+    ``dispatch.request`` span.
 
     A plain slotted class, not a dataclass: one record is built per
     request on the dispatch hot path, and a frozen dataclass's
     ``object.__setattr__``-per-field construction costs ~3x as much.
     """
 
-    __slots__ = (
-        "value",
-        "server",
-        "latency_s",
-        "retries",
-        "queue_wait_s",
-        "service_s",
-        "backoff_s",
-    )
+    __slots__ = ("value", "server", "retries")
 
-    def __init__(
-        self,
-        value: Any,
-        server: int,
-        latency_s: float,
-        retries: int,
-        queue_wait_s: float = 0.0,
-        service_s: float = 0.0,
-        backoff_s: float = 0.0,
-    ) -> None:
+    def __init__(self, value: Any, server: int, retries: int) -> None:
         self.value = value
         self.server = server
-        self.latency_s = latency_s   # wall time incl. retries and backoff
-        self.retries = retries       # re-attempts needed (0 = first try)
-        self.queue_wait_s = queue_wait_s
-        self.service_s = service_s
-        self.backoff_s = backoff_s
+        self.retries = retries
 
     def __repr__(self) -> str:
-        return (
-            f"DispatchResult(server={self.server}, "
-            f"latency_s={self.latency_s:.6f}, retries={self.retries}, "
-            f"queue_wait_s={self.queue_wait_s:.6f}, "
-            f"service_s={self.service_s:.6f}, backoff_s={self.backoff_s:.6f})"
-        )
+        return f"DispatchResult(server={self.server}, retries={self.retries})"
 
 
 class DispatcherStats:
@@ -462,8 +435,7 @@ class Dispatcher:
         delay = policy.backoff_s
         retries = 0
         backoff_total = 0.0
-        start = time.perf_counter()
-        queue_wait = start - submitted
+        queue_wait = time.perf_counter() - submitted
         while True:
             attempt_start = time.perf_counter()
             try:
@@ -485,8 +457,7 @@ class Dispatcher:
                     backoff_total += delay
                 delay = min(delay * 2 if delay else policy.backoff_s, policy.backoff_cap_s)
                 continue
-            done = time.perf_counter()
-            service = done - attempt_start
+            service = time.perf_counter() - attempt_start
             c_requests.inc()
             h_queue.observe(queue_wait)
             h_service.observe(service)
@@ -499,15 +470,6 @@ class Dispatcher:
                     retries=retries,
                     backoff_s=backoff_total,
                 )
-            result = DispatchResult(
-                value=value,
-                server=server,
-                latency_s=done - start,
-                retries=retries,
-                queue_wait_s=queue_wait,
-                service_s=service,
-                backoff_s=backoff_total,
-            )
             if on_result is not None:
-                on_result(item, result)
+                on_result(item, DispatchResult(value, server, retries))
             return value

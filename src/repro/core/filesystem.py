@@ -839,74 +839,82 @@ class DPFS:
 
     # -- internal hooks used by FileHandle ------------------------------------
     def _grow_file(self, handle: FileHandle, new_size: int) -> None:
+        """Grow a linear file; new bricks are placed on copies of the
+        handle's maps, which it adopts only after the metadata commit, so
+        a refused growth (a server lacks capacity) leaves it unchanged."""
         striping = handle.striping
         assert isinstance(striping, LinearStriping)
         record = handle.record
+        old_size = striping.file_size
         new_bricks = striping.grow_to(new_size)
-        if new_bricks:
-            counts = handle.brick_map.bricks_per_server()
-            replica_map = handle.replica_map
-            if replica_map is not None:
-                # greedy accumulated time covers replica bricks too
-                for server, bricklist in enumerate(replica_map.bricklists):
-                    counts[server] += len(bricklist)
-            performance = [info.performance for info in self.backend.servers]
-            if record.placement == "greedy":
-                policy: PlacementPolicy = Greedy.resume(performance, counts)
+        brick_map, replica_map = handle.brick_map, handle.replica_map
+        try:
+            if not new_bricks:
+                # the size update is a single (atomic) statement
+                self.meta.update_file_size(record.path, new_size)
             else:
-                policy = RoundRobin(
-                    self.backend.n_servers,
-                    start=len(handle.brick_map) * record.replicas,
-                )
-            for _ in range(new_bricks):
-                if record.replicas > 1 and replica_map is not None:
-                    brick_id = len(handle.brick_map)
-                    servers = policy.assign_replicas(record.replicas)
-                    handle.brick_map.append(servers[0], striping.brick_size)
-                    replica_map.append(
-                        brick_id, servers[1:], striping.brick_size
-                    )
+                brick_map = brick_map.copy()
+                counts = brick_map.bricks_per_server()
+                replicated = record.replicas > 1 and replica_map is not None
+                if replicated:
+                    replica_map = replica_map.copy()
+                    # greedy accumulated time covers replica bricks too
+                    for server, bricklist in enumerate(replica_map.bricklists):
+                        counts[server] += len(bricklist)
+                performance = [info.performance for info in self.backend.servers]
+                if record.placement == "greedy":
+                    policy: PlacementPolicy = Greedy.resume(performance, counts)
                 else:
-                    handle.brick_map.append(
-                        policy.assign_next(), striping.brick_size
+                    policy = RoundRobin(
+                        self.backend.n_servers,
+                        start=len(brick_map) * record.replicas,
                     )
-            record.brick_sizes = [striping.brick_size] * len(handle.brick_map)
-            record.brick_crcs = record.brick_crcs + [None] * (
-                len(handle.brick_map) - len(record.brick_crcs)
-            )
-            # journalled grow: every metadata effect (geometry,
-            # distribution, replica map, size) is ONE transaction — the
-            # commit point.  No storage-side step exists: new bricks
-            # materialise lazily on first write, so before the commit
-            # nothing happened and after it nothing is left to do.
-            intent = self.intents.begin(
-                "grow",
-                {"path": record.path, "new_size": new_size},
-                steps=["update-metadata"],
-                commit_step="update-metadata",
-            )
-            crashpoint(CP_GROW_AFTER_INTENT)
-            try:
-                # commit point: metadata growth + intent mark, atomically
-                with self.db.transaction():
-                    self.meta.grow_file(
-                        record.path,
-                        handle.brick_map,
-                        record.brick_sizes,
-                        self._server_names,
-                        replica_map if record.replicas > 1 else None,
-                        new_size,
-                    )
-                    crashpoint(CP_GROW_IN_COMMIT)
-                    self.intents.mark(intent, "update-metadata")
-            except Exception:
+                for _ in range(new_bricks):
+                    if replicated:
+                        brick_id = len(brick_map)
+                        servers = policy.assign_replicas(record.replicas)
+                        brick_map.append(servers[0], striping.brick_size)
+                        replica_map.append(brick_id, servers[1:], striping.brick_size)
+                    else:
+                        brick_map.append(policy.assign_next(), striping.brick_size)
+                # journalled grow: every metadata effect (geometry,
+                # distribution, replica map, size) is ONE transaction —
+                # the commit point.  No storage-side step exists: new
+                # bricks materialise lazily on first write, so before the
+                # commit nothing happened and after it nothing is left.
+                intent = self.intents.begin(
+                    "grow",
+                    {"path": record.path, "new_size": new_size},
+                    steps=["update-metadata"],
+                    commit_step="update-metadata",
+                )
+                crashpoint(CP_GROW_AFTER_INTENT)
+                try:
+                    # commit point: metadata growth + intent mark, atomically
+                    with self.db.transaction():
+                        self.meta.grow_file(
+                            record.path,
+                            brick_map,
+                            [striping.brick_size] * len(brick_map),
+                            self._server_names,
+                            replica_map if replicated else None,
+                            new_size,
+                        )
+                        crashpoint(CP_GROW_IN_COMMIT)
+                        self.intents.mark(intent, "update-metadata")
+                except Exception:
+                    self.intents.retire(intent)
+                    raise
+                crashpoint(CP_GROW_AFTER_METADATA)
                 self.intents.retire(intent)
-                raise
-            crashpoint(CP_GROW_AFTER_METADATA)
-            self.intents.retire(intent)
-        else:
-            # no new bricks: the size update is a single (atomic) statement
-            self.meta.update_file_size(record.path, new_size)
+        except BaseException:
+            striping.file_size = old_size
+            raise
+        handle.brick_map, handle.replica_map = brick_map, replica_map
+        record.brick_sizes = [striping.brick_size] * len(brick_map)
+        record.brick_crcs = record.brick_crcs + [None] * (
+            len(brick_map) - len(record.brick_crcs)
+        )
         record.size = new_size
 
     def _handle_closed(self, handle: FileHandle) -> None:

@@ -206,7 +206,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                     )
                 )
 
-        recount = meta._recount_server_usage()
+        recount = meta.recount_server_usage()
         stored = meta.server_usage()
         for row in meta.servers():
             server_id = row["server_id"]
@@ -214,10 +214,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 continue
             repaired = False
             if repair:
-                meta.db.execute(
-                    "UPDATE dpfs_server SET used = ? WHERE server_id = ?",
-                    [recount[server_id], server_id],
-                )
+                meta.set_server_used(server_id, recount[server_id])
                 repaired = True
             report.findings.append(
                 Finding(
@@ -249,7 +246,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
             if not meta.dir_exists(child):
                 repaired = False
                 if repair:
-                    _unlink_dir_entry(meta, current, sub, is_dir=True)
+                    meta.unlink_entry(current, sub, is_dir=True)
                     repaired = True
                 report.findings.append(
                     Finding(
@@ -266,7 +263,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
             if not meta.file_exists(child):
                 repaired = False
                 if repair:
-                    _unlink_dir_entry(meta, current, name, is_dir=False)
+                    meta.unlink_entry(current, name, is_dir=False)
                     repaired = True
                 report.findings.append(
                     Finding(
@@ -286,7 +283,7 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
         if path not in linked_files:
             repaired = False
             if repair:
-                _relink_file(meta, path)
+                meta.link_file(path)
                 repaired = True
             report.findings.append(
                 Finding(
@@ -315,29 +312,3 @@ def fsck(fs: "DPFS", repair: bool = False, *, deep: bool = True) -> FsckReport:
                 )
     return report
 
-
-def _unlink_dir_entry(meta, parent: str, name: str, *, is_dir: bool) -> None:
-    subs, files = meta.listdir(parent)
-    if is_dir:
-        subs = [s for s in subs if s != name]
-        meta.db.execute(
-            "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
-            [subs, parent],
-        )
-    else:
-        files = [f for f in files if f != name]
-        meta.db.execute(
-            "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-            [files, parent],
-        )
-
-
-def _relink_file(meta, path: str) -> None:
-    parent, base = posixpath.split(path)
-    meta.makedirs(parent)
-    subs, files = meta.listdir(parent)
-    if base not in files:
-        meta.db.execute(
-            "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-            [sorted(files + [base]), parent],
-        )

@@ -56,20 +56,18 @@ __all__ = ["FileHandle", "IOStats"]
 
 @dataclass
 class IOStats:
-    """Counters of the traffic a handle generated.
+    """Handle-scoped totals of the traffic one handle generated.
 
     Updated from dispatcher worker threads, so every mutation goes
-    through :meth:`record` under a lock.  Latency accounting is split
-    three ways so retries cannot be double-read: per server,
-    ``per_server_latency_s`` is total wall time (failed attempts and
-    backoff included), ``per_server_service_s`` is the successful
-    attempt alone, and ``per_server_backoff_s`` the retry sleeps — so
-    ``latency >= service + backoff`` holds per server and the remainder
-    is failed-attempt time.  A handle's stats are a handle-scoped view;
-    :meth:`bind` forwards the same events into the file system's
-    :class:`~repro.obs.registry.MetricsRegistry`, which is the
-    system-wide source of truth (``DPFS.metrics``).  Note the registry's
-    ``dpfs_dispatch_retries_total`` also counts retries of requests
+    through :meth:`record` under a lock.  Per-server numbers are not
+    kept here: the dispatcher records each request once, in the file
+    system's :class:`~repro.obs.registry.MetricsRegistry`
+    (``DPFS.metrics``), under ``dpfs_dispatch_requests_total``,
+    ``dpfs_dispatch_retries_total``, ``dpfs_dispatch_service_seconds``
+    and ``dpfs_dispatch_backoff_seconds_total``, each labelled by
+    ``server``.  :meth:`bind` forwards bytes and bricks into the same
+    registry (``dpfs_io_*``).  ``retries`` counts re-attempts of
+    requests that succeeded; the registry also counts those of requests
     that ultimately failed, which no handle ever observes.
     """
 
@@ -79,18 +77,13 @@ class IOStats:
     bricks_touched: int = 0
     prefetched_bricks: int = 0
     retries: int = 0
-    per_server_requests: dict[int, int] = field(default_factory=dict)
-    per_server_retries: dict[int, int] = field(default_factory=dict)
-    per_server_latency_s: dict[int, float] = field(default_factory=dict)
-    per_server_service_s: dict[int, float] = field(default_factory=dict)
-    per_server_backoff_s: dict[int, float] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
     _fwd: tuple | None = field(default=None, repr=False, compare=False)
 
     def bind(self, registry: MetricsRegistry) -> "IOStats":
-        """Mirror this handle's events into the shared registry.
+        """Forward this handle's byte and brick counts into ``registry``.
 
         Holds the raw series cells (``_cell_for``), not the counter
         objects: :meth:`record` runs once per dispatched request, and a
@@ -114,38 +107,12 @@ class IOStats:
         return self
 
     def record(
-        self,
-        server: int,
-        nbytes: int,
-        *,
-        is_read: bool,
-        bricks: int,
-        latency_s: float = 0.0,
-        retries: int = 0,
-        service_s: float = 0.0,
-        backoff_s: float = 0.0,
+        self, nbytes: int, *, is_read: bool, bricks: int, retries: int = 0
     ) -> None:
         with self._lock:
             self.requests += 1
             self.bricks_touched += bricks
             self.retries += retries
-            self.per_server_requests[server] = (
-                self.per_server_requests.get(server, 0) + 1
-            )
-            if retries:
-                self.per_server_retries[server] = (
-                    self.per_server_retries.get(server, 0) + retries
-                )
-            if backoff_s:
-                self.per_server_backoff_s[server] = (
-                    self.per_server_backoff_s.get(server, 0.0) + backoff_s
-                )
-            self.per_server_latency_s[server] = (
-                self.per_server_latency_s.get(server, 0.0) + latency_s
-            )
-            self.per_server_service_s[server] = (
-                self.per_server_service_s.get(server, 0.0) + service_s
-            )
             if is_read:
                 self.bytes_read += nbytes
             else:
@@ -649,14 +616,10 @@ class FileHandle:
 
         def done(req, result) -> None:
             self.stats.record(
-                req.server,
                 result.value,
                 is_read=True,
                 bricks=len(set(req.brick_ids)),
-                latency_s=result.latency_s,
                 retries=result.retries,
-                service_s=result.service_s,
-                backoff_s=result.backoff_s,
             )
 
         self.fs.dispatcher.run(plan, fetch, on_result=done)
@@ -784,14 +747,10 @@ class FileHandle:
             with success_lock:
                 succeeded.append(req)
             self.stats.record(
-                req.server,
                 result.value,
                 is_read=False,
                 bricks=len(set(req.brick_ids)),
-                latency_s=result.latency_s,
                 retries=result.retries,
-                service_s=result.service_s,
-                backoff_s=result.backoff_s,
             )
 
         try:

@@ -185,7 +185,7 @@ class MetadataManager:
         and re-created in one transaction, each server's ``used`` taken
         from a recount over the bricklists.
         """
-        usage = self._recount_server_usage()
+        usage = self.recount_server_usage()
         rows = self.servers()
         with self.db.transaction():
             self.db.execute("DROP TABLE dpfs_server")
@@ -228,9 +228,6 @@ class MetadataManager:
             "SELECT server_id, server_name, capacity, performance "
             "FROM dpfs_server ORDER BY server_id"
         ).rows
-
-    def server_performance(self) -> list[float]:
-        return [row["performance"] for row in self.servers()]
 
     # ------------------------------------------------------------------
     # directories
@@ -318,6 +315,32 @@ class MetadataManager:
         if row is None:
             raise FileNotFound(path)
         return list(row["sub_dirs"]), list(row["files"])
+
+    def unlink_entry(self, parent: str, name: str, *, is_dir: bool) -> None:
+        """Drop ``name`` from ``parent``'s sub_dirs or files list (fsck's
+        repair of an entry with no row behind it)."""
+        column = "sub_dirs" if is_dir else "files"
+        with self.db.transaction():
+            row = self._dir_row(normalize_path(parent))
+            if row is None:
+                raise FileNotFound(parent)
+            self.db.execute(
+                f"UPDATE dpfs_directory SET {column} = ? WHERE main_dir = ?",
+                [sorted(e for e in row[column] if e != name), row["main_dir"]],
+            )
+
+    def link_file(self, path: str) -> None:
+        """List a file in its parent directory, creating the parent if
+        needed (fsck's repair of an attr row no directory lists)."""
+        parent, base = split_path(normalize_path(path))
+        self.makedirs(parent)
+        with self.db.transaction():
+            files = self._dir_row(parent)["files"]
+            if base not in files:
+                self.db.execute(
+                    "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
+                    [sorted([*files, base]), parent],
+                )
 
     # ------------------------------------------------------------------
     # files
@@ -409,17 +432,23 @@ class MetadataManager:
             + (replica_map.subfile_size(s) if replica_map is not None else 0)
             for s in range(brick_map.n_servers)
         }
+        self._check_room(needed)
+        return needed
+
+    def _check_room(self, needed: dict[str, int]) -> None:
+        """Raise :class:`FileSystemError` when a server's ``used`` plus
+        the bytes ``needed`` adds to it (by server name) would pass its
+        ``capacity``."""
         for row in self.db.execute(
             "SELECT server_id, server_name, capacity, used FROM dpfs_server"
         ).rows:
             want = needed.get(row["server_name"], 0)
-            if want and row["used"] + want > row["capacity"]:
+            if want > 0 and row["used"] + want > row["capacity"]:
                 raise FileSystemError(
                     f"server {row['server_id']} ({row['server_name']}) "
                     f"lacks capacity: {row['used'] + want} > "
                     f"{row['capacity']} bytes"
                 )
-        return needed
 
     def load_file(self, path: str) -> tuple[FileRecord, BrickMap]:
         norm = normalize_path(path)
@@ -488,18 +517,6 @@ class MetadataManager:
                 )
             bricklists[server_id] = list(row["bricklist"])
         return ReplicaMap.build(len(order), bricklists, record.brick_sizes)
-
-    def update_replica_map(
-        self, path: str, replica_map: ReplicaMap, server_names: list[str]
-    ) -> None:
-        """Rewrite replica bricklists after a replicated file grew."""
-        norm = normalize_path(path)
-        with self.db.transaction():
-            before = self._file_usage(norm)
-            self._upsert_rows(
-                "dpfs_file_replica", norm, replica_map.to_lists(), server_names
-            )
-            self._charge_delta(norm, before)
 
     def _upsert_rows(
         self,
@@ -570,21 +587,6 @@ class MetadataManager:
             [size, normalize_path(path)],
         )
 
-    def update_distribution(
-        self, path: str, brick_map: BrickMap, brick_sizes: list[int],
-        server_names: list[str],
-    ) -> None:
-        """Rewrite bricklists + geometry after a file grew (linear level)."""
-        norm = normalize_path(path)
-        with self.db.transaction():
-            before = self._file_usage(norm)
-            self._grow_geometry(norm, brick_sizes)
-            self._upsert_rows(
-                "dpfs_file_distribution", norm, brick_map.to_lists(),
-                server_names,
-            )
-            self._charge_delta(norm, before)
-
     def _grow_geometry(self, norm: str, brick_sizes: list[int]) -> None:
         """Extend geometry's brick_sizes/brick_crcs (caller holds txn)."""
         rows = self.db.execute(
@@ -621,7 +623,9 @@ class MetadataManager:
         (distribution, replica map, size) — a crash between them left
         the attr row disagreeing with the bricklists.  One transaction
         makes grow's metadata step all-or-nothing, which is what lets
-        the grow intent treat it as its commit point.
+        the grow intent treat it as its commit point.  Like a create, a
+        growth that would pass a server's capacity raises
+        :class:`FileSystemError` and changes nothing.
         """
         norm = normalize_path(path)
         with self.db.transaction():
@@ -795,16 +799,17 @@ class MetadataManager:
                 )
 
     def _charge_delta(self, norm: str, before: dict[str, int]) -> None:
-        """Charge the change in a file's usage since ``before``."""
+        """Charge the change in a file's usage since ``before``, after
+        checking the servers it grows on have room for it."""
         after = self._file_usage(norm)
-        self._charge_usage(
-            {
-                name: after.get(name, 0) - before.get(name, 0)
-                for name in after.keys() | before.keys()
-            }
-        )
+        delta = {
+            name: after.get(name, 0) - before.get(name, 0)
+            for name in after.keys() | before.keys()
+        }
+        self._check_room(delta)
+        self._charge_usage(delta)
 
-    def _recount_server_usage(self) -> dict[int, int]:
+    def recount_server_usage(self) -> dict[int, int]:
         """Recount every server's bytes from all bricklists.
 
         Visits every file: only fsck (which checks ``used`` against it)
@@ -818,6 +823,12 @@ class MetadataManager:
                 if name in order:
                     usage[order[name]] += nbytes
         return usage
+
+    def set_server_used(self, server_id: int, used: int) -> None:
+        """Overwrite one server's ``used`` (fsck's ``bad-usage`` repair)."""
+        self.db.execute(
+            "UPDATE dpfs_server SET used = ? WHERE server_id = ?", [used, server_id]
+        )
 
     def set_permission(self, path: str, permission: int) -> None:
         norm = normalize_path(path)

@@ -161,7 +161,69 @@ class LinearStriping(StripingMethod):
         return self._merge(slices)
 
 
-class MultidimStriping(StripingMethod):
+class _ArrayLevel(StripingMethod):
+    """What the two array-aware levels share: an N-d ``array_shape`` of
+    ``element_size``-byte elements, addressed by region."""
+
+    array_shape: tuple[int, ...]
+    element_size: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.array_shape)
+
+    def total_bytes(self) -> int:
+        return math.prod(self.array_shape) * self.element_size
+
+    def slices_for_extents(self, extents: Sequence[Extent]) -> list[BrickSlice]:
+        """Linear byte extents over the *row-major flattened* array.
+
+        Provided so an array file can still be read as a stream (e.g.
+        export to a sequential file, §7): each flattened extent is
+        converted to the array cells it covers, row by row.
+        """
+        slices: list[BrickSlice] = []
+        payload = 0
+        elem = self.element_size
+        row_len = self.array_shape[-1]
+        total = self.total_bytes()
+        for off, ln in extents:
+            if off < 0 or ln < 0 or off + ln > total:
+                raise StripingError(f"extent ({off}, {ln}) outside file")
+            if off % elem or ln % elem:
+                raise StripingError(
+                    f"linear access to {self.level.value} files must be "
+                    "element-aligned"
+                )
+            first = off // elem
+            count = ln // elem
+            while count > 0:
+                coords = []
+                rest = first
+                for n in reversed(self.array_shape):
+                    coords.append(rest % n)
+                    rest //= n
+                coords.reverse()
+                run = min(row_len - coords[-1], count)
+                sub = self.slices_for_region(
+                    Region(
+                        tuple(coords),
+                        tuple(c + 1 for c in coords[:-1]) + (coords[-1] + run,),
+                    )
+                )
+                for s in sub:
+                    slices.append(
+                        BrickSlice(
+                            s.brick_id, s.offset, s.length, payload + s.buffer_offset
+                        )
+                    )
+                payload += run * elem
+                first += run
+                count -= run
+        return self._merge(slices)
+
+
+class MultidimStriping(_ArrayLevel):
     """§3.2 — bricks are N-d tiles of the array (the paper's novelty)."""
 
     level = FileLevel.MULTIDIM
@@ -195,19 +257,12 @@ class MultidimStriping(StripingMethod):
         self._brick_volume = math.prod(self.brick_shape)
 
     @property
-    def rank(self) -> int:
-        return len(self.array_shape)
-
-    @property
     def brick_count(self) -> int:
         return math.prod(self.grid)
 
     def brick_sizes(self) -> list[int]:
         size = self._brick_volume * self.element_size
         return [size] * self.brick_count
-
-    def total_bytes(self) -> int:
-        return math.prod(self.array_shape) * self.element_size
 
     # -- brick geometry ----------------------------------------------------
     def brick_id_of(self, grid_coords: Sequence[int]) -> int:
@@ -274,54 +329,8 @@ class MultidimStriping(StripingMethod):
                 remaining -= take
         return self._merge(slices)
 
-    def slices_for_extents(self, extents: Sequence[Extent]) -> list[BrickSlice]:
-        """Linear byte extents over the *row-major flattened* array.
 
-        Provided so a multidim file can still be read as a stream (e.g.
-        export to a sequential file, §7): each flattened extent is
-        converted to the array cells it covers, row by row.
-        """
-        slices: list[BrickSlice] = []
-        payload = 0
-        elem = self.element_size
-        row_len = self.array_shape[-1]
-        total = self.total_bytes()
-        for off, ln in extents:
-            if off < 0 or ln < 0 or off + ln > total:
-                raise StripingError(f"extent ({off}, {ln}) outside file")
-            if off % elem or ln % elem:
-                raise StripingError(
-                    "linear access to a multidim file must be element-aligned"
-                )
-            first = off // elem
-            count = ln // elem
-            while count > 0:
-                coords = []
-                rest = first
-                for n in reversed(self.array_shape):
-                    coords.append(rest % n)
-                    rest //= n
-                coords.reverse()
-                run = min(row_len - coords[-1], count)
-                sub = self.slices_for_region(
-                    Region(
-                        tuple(coords),
-                        tuple(c + 1 for c in coords[:-1]) + (coords[-1] + run,),
-                    )
-                )
-                for s in sub:
-                    slices.append(
-                        BrickSlice(
-                            s.brick_id, s.offset, s.length, payload + s.buffer_offset
-                        )
-                    )
-                payload += run * elem
-                first += run
-                count -= run
-        return self._merge(slices)
-
-
-class ArrayStriping(StripingMethod):
+class ArrayStriping(_ArrayLevel):
     """§3.3 — one coarse-grain brick per processor chunk (HPF notation)."""
 
     level = FileLevel.ARRAY
@@ -357,10 +366,6 @@ class ArrayStriping(StripingMethod):
         )
 
     @property
-    def rank(self) -> int:
-        return len(self.array_shape)
-
-    @property
     def brick_count(self) -> int:
         return self.nprocs
 
@@ -370,9 +375,6 @@ class ArrayStriping(StripingMethod):
         return [
             max(chunk.volume, 1) * self.element_size for chunk in self.chunks
         ]
-
-    def total_bytes(self) -> int:
-        return math.prod(self.array_shape) * self.element_size
 
     def pattern_string(self) -> str:
         return pattern_str(self.pattern)
@@ -431,44 +433,3 @@ class ArrayStriping(StripingMethod):
         if chunk.empty or not chunk.contains(cell):  # pragma: no cover
             raise StripingError(f"cell {tuple(cell)} owned by no chunk")
         return rank
-
-    def slices_for_extents(self, extents: Sequence[Extent]) -> list[BrickSlice]:
-        """Flattened row-major byte access (export path), as for multidim."""
-        slices: list[BrickSlice] = []
-        payload = 0
-        elem = self.element_size
-        row_len = self.array_shape[-1]
-        total = self.total_bytes()
-        for off, ln in extents:
-            if off < 0 or ln < 0 or off + ln > total:
-                raise StripingError(f"extent ({off}, {ln}) outside file")
-            if off % elem or ln % elem:
-                raise StripingError(
-                    "linear access to an array file must be element-aligned"
-                )
-            first = off // elem
-            count = ln // elem
-            while count > 0:
-                coords = []
-                rest = first
-                for n in reversed(self.array_shape):
-                    coords.append(rest % n)
-                    rest //= n
-                coords.reverse()
-                run = min(row_len - coords[-1], count)
-                sub = self.slices_for_region(
-                    Region(
-                        tuple(coords),
-                        tuple(c + 1 for c in coords[:-1]) + (coords[-1] + run,),
-                    )
-                )
-                for s in sub:
-                    slices.append(
-                        BrickSlice(
-                            s.brick_id, s.offset, s.length, payload + s.buffer_offset
-                        )
-                    )
-                payload += run * elem
-                first += run
-                count -= run
-        return self._merge(slices)

@@ -120,17 +120,9 @@ class ServerConnection:
         self._health = ServerHealth.UP
         self._consecutive_failures = 0
 
-        #: counters — guarded by ``_cond``'s lock as well (cold path)
-        self._busy_retried = 0
-        self._reconnects = 0
-        self._discarded = 0
-        self._health_transitions = 0
-
-        #: wire metrics — unbound until the owning backend/file system
-        #: shares its registry via :meth:`bind_metrics`
-        self._obs: tuple | None = None
-        self._op_counters: dict[str, Any] = {}
-        self._health_obs: tuple | None = None
+        #: every count lives in a registry: the connection's own until
+        #: the owning backend hands it the mount's via :meth:`bind_metrics`
+        self.bind_metrics(MetricsRegistry())
 
         # eager first connection: construction fails fast on an
         # unreachable address, and the ping populates ``info``
@@ -148,24 +140,19 @@ class ServerConnection:
 
     @property
     def retried_requests(self) -> int:
-        """Busy re-attempts made at the connection level (thread-safe)."""
-        with self._cond:
-            return self._busy_retried
+        """Busy re-attempts made at the connection level."""
+        return int(self._c_busy.value())
 
     def _note_busy_retry(self) -> None:
-        with self._cond:
-            self._busy_retried += 1
+        self._c_busy.inc()
 
     def _set_health(self, new: ServerHealth) -> None:
         """Transition to ``new`` (caller holds ``_cond``'s lock)."""
         if new is self._health:
             return
         self._health = new
-        self._health_transitions += 1
-        obs = self._health_obs
-        if obs is not None:
-            obs[0].set(new.value)
-            obs[1].inc(to=new.name)
+        self._g_health.set(new.value, **self._labels)
+        self._c_transitions[new].inc()
 
     def _record_failure(self) -> None:
         with self._cond:
@@ -203,9 +190,9 @@ class ServerConnection:
                 "open": self._open,
                 "idle": len(self._idle),
                 "pool_size": self.pool_size,
-                "reconnects": self._reconnects,
-                "discarded": self._discarded,
-                "busy_retried": self._busy_retried,
+                "reconnects": int(self._c_reconnects.value()),
+                "discarded": int(self._c_discarded.value()),
+                "busy_retried": self.retried_requests,
             }
 
     # -- socket lifecycle ---------------------------------------------------
@@ -240,11 +227,7 @@ class ServerConnection:
                     delay = min(delay * 2, 1.0)
                 continue
             if attempt:
-                with self._cond:
-                    self._reconnects += 1
-                obs = self._health_obs
-                if obs is not None:
-                    obs[2].inc()
+                self._c_reconnects.inc()
             return sock
         self._record_failure()
         raise ConnectionLost(
@@ -298,11 +281,8 @@ class ServerConnection:
             pass
         with self._cond:
             self._open -= 1
-            self._discarded += 1
             self._cond.notify()
-        obs = self._health_obs
-        if obs is not None:
-            obs[3].inc()
+        self._c_discarded.inc()
 
     def close(self) -> None:
         with self._cond:
@@ -318,40 +298,48 @@ class ServerConnection:
 
     # -- metrics ------------------------------------------------------------
     def bind_metrics(self, registry: MetricsRegistry, server: int | None = None) -> None:
-        """Record round trips into ``registry`` (per-op, labeled)."""
+        """Keep this connection's counts in ``registry`` from now on,
+        labelled ``server`` when given (``RemoteBackend`` passes its
+        index)."""
         label = {} if server is None else {"server": server}
-        self._op_counters = {}
-        self._obs = (
-            registry.counter(
-                "dpfs_net_requests_total", "wire requests issued"
-            ),
-            registry.histogram(
-                "dpfs_net_roundtrip_seconds", "wire request round-trip time"
-            ).labels(**label),
-            registry.counter(
-                "dpfs_net_bytes_sent_total", "payload bytes sent to servers"
-            ).labels(**label),
-            registry.counter(
-                "dpfs_net_bytes_received_total", "payload bytes received from servers"
-            ).labels(**label),
+        self._labels = label
+        self._c_requests = registry.counter(
+            "dpfs_net_requests_total", "wire requests issued"
         )
-        health_gauge = registry.gauge(
+        self._op_counters: dict[str, Any] = {}
+        self._h_roundtrip = registry.histogram(
+            "dpfs_net_roundtrip_seconds", "wire request round-trip time"
+        ).labels(**label)
+        self._c_sent = registry.counter(
+            "dpfs_net_bytes_sent_total", "payload bytes sent to servers"
+        ).labels(**label)
+        self._c_received = registry.counter(
+            "dpfs_net_bytes_received_total", "payload bytes received from servers"
+        ).labels(**label)
+        self._c_reconnects = registry.counter(
+            "dpfs_net_reconnects_total", "sockets re-established after a failure"
+        ).labels(**label)
+        self._c_discarded = registry.counter(
+            "dpfs_net_sockets_discarded_total",
+            "broken sockets closed instead of returned to the pool",
+        ).labels(**label)
+        self._c_busy = registry.counter(
+            "dpfs_net_busy_retries_total",
+            "busy rejections re-attempted by the connection",
+        ).labels(**label)
+        transitions = registry.counter(
+            "dpfs_net_health_transitions_total",
+            "server health state changes, by destination state",
+        )
+        self._c_transitions = {
+            state: transitions.labels(to=state.name, **label) for state in ServerHealth
+        }
+        self._g_health = registry.gauge(
             "dpfs_net_server_health",
             "per-server health (2=UP, 1=DEGRADED, 0=DOWN)",
         )
-        self._health_obs = (
-            _BoundGauge(health_gauge, label),
-            _TransitionCounter(registry, label),
-            registry.counter(
-                "dpfs_net_reconnects_total", "sockets re-established after a failure"
-            ).labels(**label),
-            registry.counter(
-                "dpfs_net_sockets_discarded_total",
-                "broken sockets closed instead of returned to the pool",
-            ).labels(**label),
-        )
         with self._cond:
-            self._health_obs[0].set(self._health.value)
+            self._g_health.set(self._health.value, **label)
 
     # -- plumbing ---------------------------------------------------------
     def _call_once(
@@ -381,19 +369,16 @@ class ServerConnection:
             raise
         self._checkin(sock)
         self._record_success()
-        obs = self._obs
-        if obs is not None:
-            elapsed = time.perf_counter() - start
-            op = header.get("op", "?")
-            bound = self._op_counters.get(op)
-            if bound is None:
-                bound = self._op_counters[op] = obs[0].labels(op=op)
-            bound.inc()
-            obs[1].observe(elapsed)
-            if payload:
-                obs[2].inc(len(payload))
-            if data:
-                obs[3].inc(len(data))
+        op = header.get("op", "?")
+        bound = self._op_counters.get(op)
+        if bound is None:
+            bound = self._op_counters[op] = self._c_requests.labels(op=op)
+        bound.inc()
+        self._h_roundtrip.observe(time.perf_counter() - start)
+        if payload:
+            self._c_sent.inc(len(payload))
+        if data:
+            self._c_received.inc(len(data))
         if not reply.get("ok"):
             kind = reply.get("kind", "ServerError")
             message = reply.get("error", "unknown server error")
@@ -480,38 +465,6 @@ class ServerConnection:
             "metrics": reply.get("metrics", ""),
             "spans": reply.get("spans", []),
         }
-
-
-class _BoundGauge:
-    """A gauge pre-bound to one label set (the registry has no native
-    bound-gauge helper; health transitions are rare, so one dict build
-    per transition is fine)."""
-
-    __slots__ = ("_gauge", "_labels")
-
-    def __init__(self, gauge: Any, labels: dict[str, Any]) -> None:
-        self._gauge = gauge
-        self._labels = labels
-
-    def set(self, value: float) -> None:
-        self._gauge.set(value, **self._labels)
-
-
-class _TransitionCounter:
-    """Health-transition counter keeping the base label set fixed and
-    adding the destination state per event."""
-
-    __slots__ = ("_counter", "_labels")
-
-    def __init__(self, registry: MetricsRegistry, labels: dict[str, Any]) -> None:
-        self._counter = registry.counter(
-            "dpfs_net_health_transitions_total",
-            "server health state changes, by destination state",
-        )
-        self._labels = labels
-
-    def inc(self, *, to: str) -> None:
-        self._counter.inc(to=to, **self._labels)
 
 
 class RemoteBackend(StorageBackend):

@@ -116,10 +116,9 @@ class DPFSServer:
         self.name = name or f"dpfs://{self.address[0]}:{self.address[1]}"
         self._thread: threading.Thread | None = None
         self._io_lock = threading.Lock()
-        self.requests_served = 0
-        self.requests_rejected = 0
         #: server-side observability: every op is counted and timed in
-        #: the registry; requests carrying a client request id (``rid``)
+        #: the registry, the only place the server keeps a count;
+        #: requests carrying a client request id (``rid``)
         #: additionally land in a bounded span log so ``dpfs trace`` can
         #: match server time to the client's trace
         self.metrics = MetricsRegistry()
@@ -142,6 +141,17 @@ class DPFSServer:
             "dpfs_server_inflight_requests", "read/write requests in service"
         )
         self.span_log: deque[dict[str, Any]] = deque(maxlen=256)
+
+    @property
+    def requests_served(self) -> int:
+        """Requests that passed the admission gate (every op counted in
+        ``dpfs_server_requests_total`` minus the rejected ones)."""
+        return int(self._c_requests.total() - self._c_rejected.total())
+
+    @property
+    def requests_rejected(self) -> int:
+        """Requests turned away at the admission gate."""
+        return int(self._c_rejected.total())
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -193,7 +203,6 @@ class DPFSServer:
         if self.max_concurrent is not None and op in ("read", "write"):
             with self._inflight_lock:
                 if self._inflight >= self.max_concurrent:
-                    self.requests_rejected += 1
                     self._c_rejected.inc(op=op)
                     raise ServerBusy(
                         f"server at {self.max_concurrent} concurrent "
@@ -244,7 +253,6 @@ class DPFSServer:
     def _dispatch_inner(
         self, op: str, header: dict[str, Any], payload: bytes
     ) -> tuple[dict[str, Any], bytes]:
-        self.requests_served += 1
         if op == "ping":
             return (
                 {

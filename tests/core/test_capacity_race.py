@@ -92,7 +92,7 @@ def test_many_threads_fill_a_server_exactly_then_drain_it():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             used = fs.df()[0]["used"]
-            assert used == fs.meta._recount_server_usage()[0]
+            assert used == fs.meta.recount_server_usage()[0]
             if work is create_some:
                 assert len(created) == slots and used == slots * SIZE
     finally:

@@ -1,16 +1,15 @@
-"""Regression: dispatcher registry vs per-handle IOStats reconciliation.
+"""Regression: per-handle ``IOStats`` totals vs the metrics registry.
 
-Before the observability refactor the dispatcher kept an ad-hoc
-per-server latency map while handles counted their own retries; the two
-drifted apart because handle stats only see *successful* requests while
-the dispatcher also retries requests that ultimately fail.  These tests
-pin the reconciled semantics:
+Every per-server count lives once, in the mount's registry
+(``DPFS.metrics``); a handle keeps only its own totals.  These tests pin
+how the two reconcile:
 
-- per server, ``latency >= service + backoff`` (the remainder is time
-  burnt in failed attempts);
-- for an all-successful workload, registry retries == handle retries;
+- for an all-successful workload, the handles' summed ``requests`` and
+  ``retries`` equal the registry's deltas over the same operations;
 - a ``RetryExhausted`` request's re-attempts appear in the registry but
-  never in any handle's stats — documented divergence, asserted here.
+  never in any handle's stats — documented divergence, asserted here;
+- a faulted server's retries and backoff sleeps land in its own
+  ``server`` series, and no other server's.
 """
 
 import pytest
@@ -29,11 +28,31 @@ def _fs(backend=None, **kwargs):
     return DPFS(backend, io_retries=3, **kwargs), backend
 
 
+def _by_server(fs, name):
+    """One registry counter's values keyed by integer server id."""
+    return {
+        int(k): v for k, v in fs.metrics.get(name).by_label("server").items()
+    }
+
+
+def _delta(after, before):
+    return {s: v - before.get(s, 0) for s, v in after.items() if v - before.get(s, 0)}
+
+
+def _precreate(fs):
+    # namespace mutations (create/remove/rename subfile fan-out) go
+    # through the dispatcher too, and handles never see those — so
+    # reconcile the *data* path as a registry delta over a pre-created
+    # file rather than as absolute totals.
+    hint = Hint(file_size=SIZE, brick_size=SIZE // (2 * N_SERVERS))
+    with fs.open("/f", "w", hint):
+        pass
+
+
 def _roundtrip(fs):
     """Write then read /f; return (write-handle stats, read-handle stats)."""
-    hint = Hint(file_size=SIZE, brick_size=SIZE // (2 * N_SERVERS))
     data = bytes(range(256)) * (SIZE // 256)
-    with fs.open("/f", "w", hint) as h:
+    with fs.open("/f", "r+") as h:
         h.write(0, data)
         wstats = h.stats
     with fs.open("/f") as h:
@@ -41,43 +60,42 @@ def _roundtrip(fs):
         return wstats, h.stats
 
 
-def _summed(dicts):
-    out: dict[int, float] = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
-def test_latency_covers_service_plus_backoff_per_server():
-    fs, backend = _fs()
-    backend.fail_next("read", server=1, times=2, transient=True)
-    _wstats, stats = _roundtrip(fs)
-    for server, latency in stats.per_server_latency_s.items():
-        service = stats.per_server_service_s.get(server, 0.0)
-        backoff = stats.per_server_backoff_s.get(server, 0.0)
-        assert latency >= service + backoff - 1e-9, (
-            f"server {server}: latency {latency} < service {service} "
-            f"+ backoff {backoff}"
-        )
-    # the faulted server actually has retries and backoff on record
-    assert stats.per_server_retries.get(1, 0) == 2
-    assert stats.per_server_backoff_s.get(1, 0.0) > 0.0
-    fs.close()
-
-
 def test_registry_retries_match_handle_retries_when_all_succeed():
     fs, backend = _fs()
+    _precreate(fs)
+    before = _by_server(fs, "dpfs_dispatch_retries_total")
     backend.fail_next("read", server=0, times=1, transient=True)
     backend.fail_next("write", server=2, times=2, transient=True)
     wstats, rstats = _roundtrip(fs)
-    assert wstats.retries + rstats.retries == 3
-    reg_retries = fs.dispatcher.stats.per_server_retries()
-    assert sum(reg_retries.values()) == 3
-    handle_retries = _summed(
-        [wstats.per_server_retries, rstats.per_server_retries]
-    )
-    assert reg_retries == handle_retries
+    retries = _delta(_by_server(fs, "dpfs_dispatch_retries_total"), before)
+    assert sum(retries.values()) == wstats.retries + rstats.retries == 3
+    assert retries == {0: 1, 2: 2}
+    fs.close()
+
+
+def test_dispatch_requests_total_by_server_matches_handles():
+    fs, _backend = _fs()
+    _precreate(fs)
+    before = _by_server(fs, "dpfs_dispatch_requests_total")
+    wstats, rstats = _roundtrip(fs)
+    requests = _delta(_by_server(fs, "dpfs_dispatch_requests_total"), before)
+    assert sum(requests.values()) == wstats.requests + rstats.requests
+    assert set(requests) == set(range(N_SERVERS))  # every server took part
+    fs.close()
+
+
+def test_faulted_server_retries_and_backoff_in_its_series():
+    fs, backend = _fs()
+    _precreate(fs)
+    backend.fail_next("read", server=1, times=2, transient=True)
+    _wstats, rstats = _roundtrip(fs)
+    assert rstats.retries == 2
+    assert _by_server(fs, "dpfs_dispatch_retries_total") == {1: 2}
+    backoff = _by_server(fs, "dpfs_dispatch_backoff_seconds_total")
+    assert set(backoff) == {1} and backoff[1] > 0.0
+    # the successful attempt's service time is recorded on every server
+    service = fs.metrics.get("dpfs_dispatch_service_seconds")
+    assert all(service.count(server=s) > 0 for s in range(N_SERVERS))
     fs.close()
 
 
@@ -85,6 +103,7 @@ def test_failed_request_retries_counted_in_registry_only():
     """The documented divergence: RetryExhausted re-attempts are
     registry-visible but invisible to every handle."""
     fs, backend = _fs()
+    _precreate(fs)
     wstats, rstats = _roundtrip(fs)  # clean first pass
     assert wstats.retries == rstats.retries == 0
 
@@ -95,41 +114,6 @@ def test_failed_request_retries_counted_in_registry_only():
         assert h.stats.retries == 0  # the handle saw no *successful* retry
 
     reg = fs.dispatcher.stats
-    assert reg.per_server_retries().get(3, 0) == 3  # io_retries budget
+    assert reg.per_server_retries() == {3: 3}  # io_retries budget
     assert reg.failures >= 1
-    fs.close()
-
-
-def test_dispatch_requests_total_by_server_matches_handles():
-    # namespace mutations (create/remove/rename subfile fan-out) go
-    # through the dispatcher too, and handles never see those — so
-    # reconcile the *data* path as a registry delta over a pre-created
-    # file rather than as absolute totals.
-    fs, _backend = _fs()
-    hint = Hint(file_size=SIZE, brick_size=SIZE // (2 * N_SERVERS))
-    with fs.open("/f", "w", hint):
-        pass
-
-    def reg_requests():
-        return {
-            int(k): int(v)
-            for k, v in fs.dispatcher.stats._requests.by_label("server").items()
-        }
-
-    before = reg_requests()
-    data = bytes(range(256)) * (SIZE // 256)
-    with fs.open("/f", "r+") as h:
-        h.write(0, data)
-        wstats = h.stats
-    with fs.open("/f") as h:
-        assert bytes(h.read(0, SIZE)) == data
-        rstats = h.stats
-    delta = {
-        s: v - before.get(s, 0)
-        for s, v in reg_requests().items()
-        if v - before.get(s, 0)
-    }
-    assert delta == _summed(
-        [wstats.per_server_requests, rstats.per_server_requests]
-    )
     fs.close()

@@ -64,6 +64,20 @@ def test_dangling_dir_entry_detected_and_repaired(populated):
     assert fs.listdir("/")[1] == []  # /b unlinked
 
 
+def test_dir_entry_repair_keeps_listing_sorted(populated):
+    fs = populated
+    fs.write_file("/a", b"z" * 10)
+    fs.write_file("/c", b"z" * 10)
+    fs.db.execute(
+        "UPDATE dpfs_directory SET files = ? WHERE main_dir = '/'",
+        [["c", "b", "ghost", "a"]],
+    )
+    assert [f.path for f in fsck(fs).findings] == ["/ghost"]
+    fsck(fs, repair=True)
+    assert fsck(fs).clean
+    assert fs.meta.listdir("/")[1] == ["a", "b", "c"]
+
+
 def test_dangling_subdir_detected_and_repaired(populated):
     fs = populated
     fs.db.execute("DELETE FROM dpfs_directory WHERE main_dir = '/home/user'")

@@ -176,8 +176,12 @@ def test_stats_bytes_accounting(fs):
 
 
 def test_stats_per_server_distribution(md_file):
+    requests = md_file.metrics.get("dpfs_dispatch_requests_total")
+    before = requests.by_label("server")
     with md_file.open("/field", "r", combine=False) as handle:
         handle.read_region((0, 0), (64, 64))
-        per_server = handle.stats.per_server_requests
+    per_server = {
+        s: n - before.get(s, 0) for s, n in requests.by_label("server").items()
+    }
     assert sum(per_server.values()) == handle.stats.requests
-    assert len(per_server) == 4  # all servers participated
+    assert len(per_server) == 4 and all(per_server.values())  # all servers took part

@@ -94,7 +94,7 @@ def test_schema_created(meta):
 def test_register_servers_idempotent(meta):
     meta.register_servers(MemoryBackend(3).servers)
     assert len(meta.servers()) == 3
-    assert meta.server_performance() == [1.0, 1.0, 1.0]
+    assert [row["performance"] for row in meta.servers()] == [1.0, 1.0, 1.0]
 
 
 def test_root_directory_exists(meta):
@@ -206,9 +206,10 @@ def test_update_file_size(meta):
 def test_update_distribution_after_growth(meta):
     meta.create_file(_record("/f", n_bricks=3), _bmap(3), _names(meta))
     grown = _bmap(9)
-    meta.update_distribution("/f", grown, [100] * 9, _names(meta))
+    meta.grow_file("/f", grown, [100] * 9, _names(meta), None, 900)
     record, loaded = meta.load_file("/f")
     assert len(record.brick_sizes) == 9
+    assert record.size == 900
     assert loaded.to_lists() == grown.to_lists()
 
 

@@ -5,6 +5,7 @@ written before the column existed is reopened."""
 import pytest
 
 from repro.core import DPFS, Hint, fsck
+from repro.errors import FileSystemError
 from repro.metadb import Database
 
 OLD_SERVER_TABLE = (
@@ -21,7 +22,7 @@ def _used(fs):
 
 
 def _assert_used_matches_recount(fs):
-    assert _used(fs) == fs.meta._recount_server_usage()
+    assert _used(fs) == fs.meta.recount_server_usage()
 
 
 def _populate(fs):
@@ -100,7 +101,7 @@ def test_root_without_used_column_reopens(tmp_path, n_servers):
     root = tmp_path / "root"
     fs = DPFS.local(root, n_servers)
     _populate(fs)
-    want = fs.meta._recount_server_usage()
+    want = fs.meta.recount_server_usage()
     fs.close()
 
     # rewrite dpfs_server in the shape it had before ``used`` existed
@@ -132,3 +133,44 @@ def test_root_without_used_column_reopens(tmp_path, n_servers):
     _assert_used_matches_recount(fs)
     assert fsck(fs).clean
     fs.close()
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_growth_past_capacity_is_refused_and_changes_nothing(replicas):
+    """Growing a linear file charges its new bricks to ``used`` only if
+    every server has room; a refused growth leaves the metadata, the
+    intent journal and the open handle as they were."""
+    fs = DPFS.memory(2, capacity=8192)
+    size = 4096
+    data = bytes(range(256)) * (size // 256)
+    hint = Hint.linear(file_size=size, brick_size=1024, replicas=replicas)
+    fs.write_file("/f", data, hint)
+    used = _used(fs)
+    with fs.open("/f", "r+") as h:
+        before = (
+            h.record.size,
+            h.brick_map.to_lists(),
+            h.replica_map.to_lists() if h.replica_map is not None else None,
+            list(h.record.brick_crcs),
+            h.striping.file_size,
+        )
+        with pytest.raises(FileSystemError, match="lacks capacity"):
+            h.write(size + 64 * 1024, b"x" * 1024)
+        after = (
+            h.record.size,
+            h.brick_map.to_lists(),
+            h.replica_map.to_lists() if h.replica_map is not None else None,
+            list(h.record.brick_crcs),
+            h.striping.file_size,
+        )
+        assert after == before
+        assert h.read(0, size) == data
+        # a growth that fits still works on the same handle
+        h.write(size, b"y" * 512)
+    assert sum(_used(fs).values()) == sum(used.values()) + 1024 * replicas
+    assert fs.stat("/f")["size"] == size + 512
+    assert fs.read_file("/f") == data + b"y" * 512
+    assert all(row["used"] <= row["capacity"] for row in fs.df())
+    _assert_used_matches_recount(fs)
+    assert fs.intents.pending() == []
+    assert fsck(fs).clean

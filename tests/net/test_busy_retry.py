@@ -258,3 +258,33 @@ def test_dispatcher_budget_covers_busy_when_connection_does_not(tmp_path):
         assert server.requests_rejected > 0
         assert victim_fs.dispatcher.stats.retries == retries
         victim_fs.close()
+
+
+def test_busy_retries_are_counted_in_the_mount_registry(tmp_path):
+    """A read that meets a held slot is rejected and re-attempted by the
+    connection; every re-attempt shows in ``fs.metrics`` as
+    ``dpfs_net_busy_retries_total{server}`` and matches, one for one,
+    the server's own ``dpfs_server_rejected_total``."""
+    size = 4096
+    with DPFSServer(tmp_path / "s", max_concurrent=1, io_delay_s=0.2) as server:
+        fs = DPFS(RemoteBackend([server.address]))
+        payload = bytes(range(256)) * (size // 256)
+        fs.write_file("/f", payload, hint=Hint.linear(file_size=size, brick_size=size))
+        blocker = ServerConnection(*server.address)
+        blocker.create("/slab")
+        t = threading.Thread(target=blocker.write, args=("/slab", [(0, 4)], b"slab"))
+        t.start()
+        deadline = time.monotonic() + 10
+        while server._inflight == 0 and time.monotonic() < deadline:
+            time.sleep(0.0005)
+        assert server._inflight == 1, "blocker never occupied the slot"
+        assert fs.read_file("/f") == payload
+        t.join(timeout=30)
+        blocker.close()
+        busy = fs.metrics.get("dpfs_net_busy_retries_total")
+        assert busy.value(server="0") >= 1
+        assert busy.value(server="0") == server.requests_rejected
+        rejected = server.metrics.get("dpfs_server_rejected_total").total()
+        assert busy.value(server="0") == rejected
+        assert fs.backend.health()[0]["busy_retried"] == rejected
+        fs.close()

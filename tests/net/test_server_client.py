@@ -1,5 +1,6 @@
 """Integration tests for the real TCP server/client transport (§2)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -83,13 +84,22 @@ def test_concurrent_clients(server):
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    # a short switch interval makes an unlocked ``served += 1`` lose
+    # updates; the registry's per-series locks must not
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert server.requests_served >= 8 * 4
+    # each thread: the constructor's ping, create, write, read
+    assert server.requests_served == 8 * 4
 
 
 def test_remote_backend_full_stack(tmp_path):
