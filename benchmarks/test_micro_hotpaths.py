@@ -28,7 +28,7 @@ def test_multidim_region_to_slices(benchmark):
     region = Region.of((0, 2048), (256, 512))  # a 4-brick-wide column strip
 
     slices = benchmark(md.slices_for_region, region)
-    assert sum(s.length for s in slices) == region.volume * 8
+    assert sum(s.nbytes for s in slices) == region.volume * 8
 
 
 def test_linear_extents_to_slices(benchmark):

@@ -15,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..errors import PlacementError
 
 __all__ = [
     "BrickSlice",
+    "strided_rows",
     "BrickLocation",
     "BrickMap",
     "ReplicaMap",
@@ -41,23 +44,94 @@ def is_replica_subfile(name: str) -> bool:
     return name.endswith(_REPLICA_SUFFIX)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BrickSlice:
-    """A byte range inside one brick, tied to a position in the payload.
+    """A strided run of bytes inside one brick, tied to payload positions.
 
-    ``buffer_offset`` is where these bytes sit in the packed user
-    payload, so scattering/gathering between user buffer and bricks is
-    mechanical for both reads and writes.
+    The run names ``count`` rows of ``length`` bytes.  Row ``i`` starts
+    at ``offset + i*stride`` inside the brick and at
+    ``buffer_offset + i*buffer_stride`` in the packed user payload, so
+    scattering/gathering between user buffer and bricks is mechanical
+    for both reads and writes.  With the default ``count=1`` the strides
+    are unused and the slice is one plain byte range.  Striping folds a
+    run whose rows are contiguous on both sides to ``count=1``.
+
+    Treated as immutable, but slotted rather than frozen: a frozen
+    dataclass costs about 4x as much to build, and linear striping
+    builds one slice per extent.
     """
 
     brick_id: int
-    offset: int          # byte offset inside the brick
-    length: int          # bytes
-    buffer_offset: int   # byte offset inside the packed request payload
+    offset: int          # byte offset of the first row inside the brick
+    length: int          # bytes per row
+    buffer_offset: int   # byte offset of the first row in the packed payload
+    count: int = 1       # rows
+    stride: int = 0      # bytes between row starts inside the brick
+    buffer_stride: int = 0  # bytes between row starts in the payload
 
     def __post_init__(self) -> None:
-        if self.brick_id < 0 or self.offset < 0 or self.length <= 0 or self.buffer_offset < 0:
+        if (
+            self.brick_id < 0 or self.offset < 0 or self.length <= 0
+            or self.buffer_offset < 0 or self.count < 1
+            or (self.count > 1 and (
+                self.stride < self.length or self.buffer_stride < self.length
+            ))
+        ):
             raise PlacementError(f"invalid brick slice {self!r}")
+
+    @property
+    def nbytes(self) -> int:
+        """Payload bytes the run carries (``length * count``)."""
+        return self.length * self.count
+
+    @property
+    def end(self) -> int:
+        """One past the last brick byte the run touches."""
+        return self.offset + (self.count - 1) * self.stride + self.length
+
+    @property
+    def contiguous(self) -> bool:
+        """Whether the rows abut inside the brick (one byte range there)."""
+        return self.count == 1 or self.stride == self.length
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        """``(brick offset, length, buffer offset)`` of every row."""
+        return [
+            (self.offset + i * self.stride, self.length,
+             self.buffer_offset + i * self.buffer_stride)
+            for i in range(self.count)
+        ]
+
+    def brick_rows(self, brick: np.ndarray) -> np.ndarray:
+        """The run's rows as a ``(count, length)`` view of a brick image."""
+        return strided_rows(brick, self.offset, self.count, self.length, self.stride)
+
+    def payload_rows(self, payload: np.ndarray) -> np.ndarray:
+        """The run's rows as a ``(count, length)`` view of the payload."""
+        return strided_rows(
+            payload, self.buffer_offset, self.count, self.length, self.buffer_stride
+        )
+
+
+def strided_rows(
+    buf: np.ndarray, start: int, count: int, length: int, stride: int
+) -> np.ndarray:
+    """``(count, length)`` view of ``count`` rows of a flat uint8 array,
+    the first at ``start`` and each ``stride`` bytes after the last.
+
+    Writable when ``buf`` is, so one assignment between two such views
+    moves a whole run with no per-row Python loop.
+    """
+    end = start + (count - 1) * stride + length
+    if start < 0 or end > buf.size:
+        raise PlacementError(
+            f"rows [{start}, {end}) outside a {buf.size}-byte buffer"
+        )
+    if count == 1:
+        return buf[start:end].reshape(1, length)
+    return np.ndarray(
+        (count, length), np.uint8, buffer=buf, offset=start, strides=(stride, 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..obs.registry import MetricsRegistry
+from .brick import strided_rows
 
 __all__ = ["CacheStats", "BrickCache"]
 
@@ -179,17 +182,31 @@ class BrickCache:
             self._sync_gauges()
 
     # -- coherence ---------------------------------------------------------------
-    def patch(self, path: str, brick_id: int, offset: int, data: bytes) -> None:
-        """Apply a write-through update to a cached brick, if present."""
+    def patch(
+        self, path: str, brick_id: int, offset: int, data: bytes,
+        *, count: int = 1, stride: int = 0,
+    ) -> None:
+        """Apply a write-through update to a cached brick, if present.
+
+        ``data`` holds ``count`` equal rows, packed; row ``i`` lands at
+        ``offset + i*stride`` (one strided run of a write).
+        """
         entry = self._entries.get((path, brick_id))
         if entry is None:
             return
-        if offset + len(data) > entry.size:
+        length = len(data) // count
+        if offset + (count - 1) * stride + length > entry.size:
             # write beyond the cached image (shouldn't happen for fixed
             # bricks): drop the stale entry instead of guessing
             self.invalidate_brick(path, brick_id)
             return
-        entry.data[offset : offset + len(data)] = data
+        if count == 1:
+            entry.data[offset : offset + length] = data
+        else:
+            image = np.frombuffer(entry.data, np.uint8)
+            strided_rows(image, offset, count, length, stride)[...] = (
+                np.frombuffer(data, np.uint8).reshape(count, length)
+            )
         self._entries.move_to_end((path, brick_id))
         self.stats._patched.inc()
 

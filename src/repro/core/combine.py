@@ -1,11 +1,11 @@
 """Request combination and scheduling (§4.2).
 
-Without combination, a processor issues one request per brick slice —
+Without combination, a processor issues one request per brick run —
 the paper's "general approach", which floods servers with small
 requests *and* convoys all processors onto the same device (brick 0, 8,
 16, 24 of Fig. 3 live on server 0, so every processor starts there).
 
-With combination, all of a processor's slices that live on one server
+With combination, all of a processor's runs that live on one server
 are folded into one request carrying a subfile extent list, and the
 per-processor request sequence is *staggered*: processor ``p`` starts
 with server ``(p mod S)`` so the processors fan out across devices —
@@ -19,23 +19,32 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..errors import DPFSError
-from ..util import Extent, coalesce_extents, total_extent_bytes
+from ..util import Extent, coalesce_extents
 from .brick import BrickMap, BrickSlice
 
 __all__ = ["SlicePlacement", "ServerRequest", "plan_requests"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlicePlacement:
-    """A brick slice resolved to its physical position on a server."""
+    """A brick run resolved to its physical position on a server
+    (treated as immutable; slotted for the same reason as the slice)."""
 
     slice: BrickSlice
     server: int
-    subfile_offset: int   # byte offset of the slice inside the subfile
+    subfile_offset: int   # byte offset of the run's first row in the subfile
 
     @property
-    def extent(self) -> Extent:
-        return (self.subfile_offset, self.slice.length)
+    def extents(self) -> list[Extent]:
+        """Subfile extents of the run: one when its rows abut in the
+        brick, else one per row."""
+        s = self.slice
+        if s.contiguous:
+            return [(self.subfile_offset, s.nbytes)]
+        return [
+            (self.subfile_offset + i * s.stride, s.length)
+            for i in range(s.count)
+        ]
 
 
 @dataclass
@@ -59,7 +68,14 @@ class ServerRequest:
 
     @property
     def extents(self) -> list[Extent]:
-        return [p.extent for p in self.placements]
+        out: list[Extent] = []
+        for p in self.placements:
+            s = p.slice
+            if s.count == 1:
+                out.append((p.subfile_offset, s.length))
+            else:
+                out.extend(p.extents)
+        return out
 
     @property
     def coalesced_extents(self) -> list[Extent]:
@@ -68,7 +84,7 @@ class ServerRequest:
 
     @property
     def payload_bytes(self) -> int:
-        return total_extent_bytes(self.extents)
+        return sum(p.slice.nbytes for p in self.placements)
 
     @property
     def brick_ids(self) -> list[int]:
@@ -79,7 +95,7 @@ def _place(slices: Sequence[BrickSlice], brick_map: BrickMap) -> list[SlicePlace
     placed: list[SlicePlacement] = []
     for s in slices:
         loc = brick_map.location(s.brick_id)
-        if s.offset + s.length > loc.size:
+        if s.end > loc.size:
             raise DPFSError(
                 f"slice {s} exceeds brick size {loc.size} of brick {s.brick_id}"
             )
@@ -97,9 +113,9 @@ def plan_requests(
     rank: int = 0,
     stagger: bool = True,
 ) -> list[ServerRequest]:
-    """Turn brick slices into an *ordered* wire-request plan.
+    """Turn brick runs into an *ordered* wire-request plan.
 
-    With ``combine=False`` (general approach): one request per slice, in
+    With ``combine=False`` (general approach): one request per run, in
     payload order.  With ``combine=True``: one request per touched
     server; request order is staggered by ``rank`` when ``stagger``.
     """

@@ -2,10 +2,12 @@
 
 A handle executes logical reads/writes by
 
-1. translating them to brick slices with the file's striping method,
-2. planning wire requests (combined per server, or one per slice —
-   §4.2) against the file's brick map, and
-3. gathering/scattering payload bytes through the storage backend.
+1. translating them to brick runs (strided :class:`BrickSlice`s) with
+   the file's striping method,
+2. planning wire requests (combined per server, or one per run — §4.2)
+   against the file's brick map, and
+3. gathering/scattering payload bytes through the storage backend, one
+   NumPy strided view per run.
 
 Three addressing styles are offered:
 
@@ -25,7 +27,7 @@ and bytes for tests and the §8 harness.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -483,18 +485,19 @@ class FileHandle:
         cache = self.fs.cache
         if cache is None:
             payload = bytearray(total)
-            self._fetch_into(slices, payload, offset_map=None)
+            self._fetch_into(slices, payload)
             return bytes(payload)
 
         payload = bytearray(total)
+        out = np.frombuffer(payload, np.uint8)
         missing: list[BrickSlice] = []
         with span("cache.lookup", slices=len(slices)) as cache_span:
             for s in slices:
                 cached = cache.get(self.record.path, s.brick_id)
                 if cached is not None:
-                    payload[s.buffer_offset : s.buffer_offset + s.length] = cached[
-                        s.offset : s.offset + s.length
-                    ]
+                    s.payload_rows(out)[...] = s.brick_rows(
+                        np.frombuffer(cached, np.uint8)
+                    )
                 else:
                     missing.append(s)
             cache_span.tag(hits=len(slices) - len(missing), misses=len(missing))
@@ -502,7 +505,7 @@ class FileHandle:
             return bytes(payload)
 
         # Fetch whole bricks for cacheable ones (first-touch order) and
-        # exact byte ranges for bricks too large to admit.
+        # exact runs, packed, for bricks too large to admit.
         whole: list[BrickSlice] = []
         exact: list[BrickSlice] = []
         seen: set[int] = set()
@@ -518,9 +521,9 @@ class FileHandle:
                     fetch_offset += loc.size
             else:
                 exact.append(
-                    BrickSlice(s.brick_id, s.offset, s.length, fetch_offset)
+                    replace(s, buffer_offset=fetch_offset, buffer_stride=s.length)
                 )
-                fetch_offset += s.length
+                fetch_offset += s.nbytes
 
         # Read-ahead: when the access continues a sequential brick walk,
         # pull the next few bricks in the same wire plan ("prefetching"
@@ -548,40 +551,30 @@ class FileHandle:
             self._next_expected_brick = hi + 1
 
         fetched = bytearray(fetch_offset)
-        self._fetch_into(whole + exact, fetched, offset_map=None)
+        self._fetch_into(whole + exact, fetched)
+        got = np.frombuffer(fetched, np.uint8)
 
-        bricks: dict[int, bytes] = {}
+        bricks: dict[int, np.ndarray] = {}
         for w in whole:
             data = bytes(fetched[w.buffer_offset : w.buffer_offset + w.length])
-            bricks[w.brick_id] = data
+            bricks[w.brick_id] = np.frombuffer(data, np.uint8)
             cache.put(self.record.path, w.brick_id, data)
-        exact_by_key = {
-            (e.brick_id, e.offset, e.length): e.buffer_offset for e in exact
-        }
+        runs = iter(exact)
         for s in missing:
-            if s.brick_id in bricks:
-                payload[s.buffer_offset : s.buffer_offset + s.length] = bricks[
-                    s.brick_id
-                ][s.offset : s.offset + s.length]
-            else:
-                src = exact_by_key[(s.brick_id, s.offset, s.length)]
-                payload[s.buffer_offset : s.buffer_offset + s.length] = fetched[
-                    src : src + s.length
-                ]
+            image = bricks.get(s.brick_id)
+            s.payload_rows(out)[...] = (
+                s.brick_rows(image) if image is not None
+                else next(runs).payload_rows(got)
+            )
         return bytes(payload)
 
-    def _fetch_into(
-        self,
-        slices: list[BrickSlice],
-        payload: bytearray,
-        offset_map,
-    ) -> None:
-        """Run the wire plan for ``slices``, scattering into ``payload``
-        at each slice's buffer_offset.
+    def _fetch_into(self, slices: list[BrickSlice], payload: bytearray) -> None:
+        """Run the wire plan for ``slices``, scattering each run into
+        ``payload`` at its buffer offsets.
 
         Per-server requests are fanned out through the file system's
         shared dispatcher; scattering happens in the worker since every
-        request owns disjoint buffer_offset ranges by construction.
+        request owns disjoint buffer ranges by construction.
         """
         backend = self.fs.backend
         with span("combine.plan", slices=len(slices)) as plan_span:
@@ -596,22 +589,21 @@ class FileHandle:
                 if not self._has_replicas():
                     raise
                 # the chosen copy's server failed mid-read: serve every
-                # slice of this request from a surviving copy instead
+                # run of this request from a surviving copy instead
                 self.fs._note_failover("error")
                 total = 0
                 for p in req.placements:
                     blob = self._read_alternate(p.slice, exclude_server=req.server)
-                    bo = p.slice.buffer_offset
-                    payload[bo : bo + p.slice.length] = blob
-                    total += p.slice.length
+                    self._scatter(p.slice, blob, payload)
+                    total += p.slice.nbytes
                 return total
+            view = memoryview(data)
             pos = 0
             for p in req.placements:
-                ln = p.slice.length
-                blob = data[pos : pos + ln]
-                pos += ln
-                blob = self._verified(p, blob, name)
-                payload[p.slice.buffer_offset : p.slice.buffer_offset + ln] = blob
+                n = p.slice.nbytes
+                blob = self._verified(p, view[pos : pos + n], name)
+                self._scatter(p.slice, blob, payload)
+                pos += n
             return len(data)
 
         def done(req, result) -> None:
@@ -624,21 +616,35 @@ class FileHandle:
 
         self.fs.dispatcher.run(plan, fetch, on_result=done)
 
+    @staticmethod
+    def _scatter(s: BrickSlice, packed, payload: bytearray) -> None:
+        """Copy a run's packed rows to their payload positions."""
+        if s.count == 1:
+            payload[s.buffer_offset : s.buffer_offset + s.length] = packed
+            return
+        s.payload_rows(np.frombuffer(payload, np.uint8))[...] = np.frombuffer(
+            packed, np.uint8
+        ).reshape(s.count, s.length)
+
+    def _covers_brick(self, s: BrickSlice) -> bool:
+        """Whether a run spans its whole brick, in brick order (a run
+        inside its brick that starts at 0 and carries the brick's size
+        has abutting rows)."""
+        return s.offset == 0 and s.nbytes == self.brick_map.location(s.brick_id).size
+
     # -- verification, failover, read-repair -------------------------------
     def _verified(self, p: SlicePlacement, blob: bytes, name: str) -> bytes:
         """End-to-end check of a full-brick payload against metadata.
 
-        Only full-brick placements can be verified (the stored CRC
-        covers the whole brick); partial reads pass through — the
-        scrubber covers them at rest.  On mismatch the copy is
+        Only runs that cover their whole brick can be verified (the
+        stored CRC covers the whole brick); partial reads pass through —
+        the scrubber covers them at rest.  On mismatch the copy is
         quarantined and the brick is served from a copy that verifies,
         which is then written back over the bad copy (inline
         read-repair).
         """
         s = p.slice
-        if self._crc is None:
-            return blob
-        if s.offset != 0 or s.length != self.brick_map.location(s.brick_id).size:
+        if self._crc is None or not self._covers_brick(s):
             return blob
         want = self._stored_crc(s.brick_id)
         if want is None or self._crc(bytes(blob), 0) == want:
@@ -657,7 +663,8 @@ class FileHandle:
         return good
 
     def _read_alternate(self, s: BrickSlice, *, exclude_server: int) -> bytes:
-        """Read one slice from any surviving copy, verifying when possible.
+        """Read one run, packed, from any surviving copy, verifying when
+        possible.
 
         Tries copies in preference order (primary first), skipping the
         failed server and quarantined copies.  Raises the last transport
@@ -665,11 +672,10 @@ class FileHandle:
         fails verification.
         """
         backend = self.fs.backend
-        full = (
-            s.offset == 0
-            and s.length == self.brick_map.location(s.brick_id).size
+        want = (
+            self._stored_crc(s.brick_id)
+            if self._crc and self._covers_brick(s) else None
         )
-        want = self._stored_crc(s.brick_id) if full and self._crc else None
         last_exc: Exception | None = None
         for _idx, loc, name in self._copy_locations(s.brick_id):
             if loc.server == exclude_server:
@@ -679,7 +685,7 @@ class FileHandle:
             try:
                 blob = backend.read_extents(
                     loc.server, name,
-                    [(loc.local_offset + s.offset, s.length)],
+                    SlicePlacement(s, loc.server, loc.local_offset + s.offset).extents,
                 )
             except (DPFSError, OSError) as exc:
                 last_exc = exc
@@ -734,10 +740,14 @@ class FileHandle:
         succeeded: list[ServerRequest] = []
         success_lock = threading.Lock()
 
+        src = np.frombuffer(data, np.uint8)
+        view = memoryview(data)
+
         def put(req) -> int:
             blob = b"".join(
-                data[p.slice.buffer_offset : p.slice.buffer_offset + p.slice.length]
-                for p in req.placements
+                view[s.buffer_offset : s.buffer_offset + s.length]
+                if s.count == 1 else s.payload_rows(src).tobytes()
+                for s in (p.slice for p in req.placements)
             )
             name = req.name if req.name is not None else self.record.path
             backend.write_extents(req.server, name, req.extents, blob)
@@ -760,38 +770,47 @@ class FileHandle:
             # every touched brick reached at least one copy — stale
             # copies on the failed server are caught later by checksum
             # verification and repaired by read-repair or the scrubber.
-            if not self._has_replicas():
-                raise
-            written: set[int] = set()
-            for req in succeeded:
-                written.update(req.brick_ids)
-            if not {s.brick_id for s in slices} <= written:
+            written = {b for req in succeeded for b in req.brick_ids}
+            if not self._has_replicas() or not {s.brick_id for s in slices} <= written:
+                # The write failed, but part of it may have landed: keep
+                # the stored checksums true to the bricks before the
+                # error surfaces, or a later verified read would call
+                # correct bytes corrupt.
+                done_ids = {id(req) for req in succeeded}
+                self._update_crcs(slices, src, succeeded, suspect={
+                    b for req in plan if id(req) not in done_ids
+                    for b in req.brick_ids
+                })
                 raise
             self.fs._note_degraded_write()
-        self._update_crcs(slices, data, succeeded)
+        self._update_crcs(slices, src, succeeded)
         cache = self.fs.cache
         if cache is not None:
             # write-through coherence: patch any cached image in place
             with span("cache.patch", slices=len(slices)):
                 for s in slices:
-                    cache.patch(
-                        self.record.path,
-                        s.brick_id,
-                        s.offset,
-                        data[s.buffer_offset : s.buffer_offset + s.length],
-                    )
+                    if cache.peek(self.record.path, s.brick_id):
+                        cache.patch(
+                            self.record.path, s.brick_id, s.offset,
+                            s.payload_rows(src).tobytes(),
+                            count=s.count, stride=s.stride,
+                        )
 
     def _update_crcs(
         self,
         slices: list[BrickSlice],
-        data: bytes,
+        src: np.ndarray,
         succeeded: list[ServerRequest],
+        suspect: set[int] = frozenset(),
     ) -> None:
         """Recompute and persist the checksums of every written brick.
 
-        A brick fully covered by one slice hashes the payload directly;
-        a partially written brick is read back in full from a copy that
-        took this write.  All touched bricks land in one metadata
+        A brick covered by one run hashes that run's gathered payload
+        rows directly; a partially written brick is read back in full
+        from a copy that took this write.  ``suspect`` bricks (a failed
+        request touched them) are always read back, and get no checksum
+        (``None``, backfilled by the scrubber) when no copy that took
+        the write answers.  All touched bricks land in one metadata
         transaction.
 
         Read-back and update run under a per-path lock: concurrent
@@ -815,12 +834,13 @@ class FileHandle:
             new_crcs: dict[int, int | None] = {}
             for brick_id, ss in by_brick.items():
                 size = self.brick_map.location(brick_id).size
-                full = next(
-                    (s for s in ss if s.offset == 0 and s.length == size), None
+                full = None if brick_id in suspect else next(
+                    (s for s in ss if self._covers_brick(s)), None
                 )
                 if full is not None:
-                    blob = data[full.buffer_offset : full.buffer_offset + size]
-                    new_crcs[brick_id] = self._crc(bytes(blob), 0)
+                    new_crcs[brick_id] = self._crc(
+                        full.payload_rows(src).tobytes(), 0
+                    )
                 else:
                     back = self._read_back(brick_id, size, written_copies)
                     new_crcs[brick_id] = (

@@ -9,6 +9,11 @@ Each method knows how to
   files — into :class:`~repro.core.brick.BrickSlice` lists whose
   ``buffer_offset`` fields define the packed payload order.
 
+A region becomes one strided run per (touched brick × region
+intersection) — per index of the dimensions above the last two when the
+rank exceeds 2 — never one object per row (the datatype-I/O step of
+Ching et al., "Noncontiguous I/O through PVFS").
+
 Layouts
 -------
 *Linear* (§3.1): the file is a byte stream; brick ``b`` covers bytes
@@ -26,6 +31,7 @@ volume.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -34,7 +40,7 @@ from enum import Enum
 from ..errors import StripingError
 from ..hpf.distribution import Dist, decompose, grid_shape, parse_pattern, pattern_str
 from ..hpf.regions import Region
-from ..util import Extent, ceil_div
+from ..util import Extent, ceil_div, row_major_coords
 from .brick import BrickSlice
 
 __all__ = [
@@ -85,11 +91,14 @@ class StripingMethod(ABC):
     # -- shared helper -----------------------------------------------------
     @staticmethod
     def _merge(slices: list[BrickSlice]) -> list[BrickSlice]:
-        """Merge payload-order-adjacent slices that abut inside one brick."""
+        """Merge payload-order-adjacent single-row slices that abut
+        inside one brick."""
         out: list[BrickSlice] = []
         for s in slices:
             if (
                 out
+                and s.count == 1
+                and out[-1].count == 1
                 and out[-1].brick_id == s.brick_id
                 and out[-1].offset + out[-1].length == s.offset
                 and out[-1].buffer_offset + out[-1].length == s.buffer_offset
@@ -161,16 +170,90 @@ class LinearStriping(StripingMethod):
         return self._merge(slices)
 
 
+def _row_major_strides(shape: Sequence[int], elem: int) -> list[int]:
+    """Byte stride of each dimension of a row-major ``shape`` box."""
+    strides = [elem] * len(shape)
+    for k in range(len(shape) - 2, -1, -1):
+        strides[k] = strides[k + 1] * shape[k + 1]
+    return strides
+
+
 class _ArrayLevel(StripingMethod):
     """What the two array-aware levels share: an N-d ``array_shape`` of
-    ``element_size``-byte elements, addressed by region."""
+    ``element_size``-byte elements, addressed by region.
+
+    Both levels cut every dimension into equal slots of ``_block[k]``
+    cells (the last slot clipped at the array edge), number bricks
+    row-major over the slot ``grid`` and store each brick as a row-major
+    box, whose byte strides :meth:`_brick_strides` gives.
+    """
 
     array_shape: tuple[int, ...]
     element_size: int
+    grid: tuple[int, ...]
+    _block: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.array_shape)
+
+    @abstractmethod
+    def _brick_strides(self, brick_id: int) -> list[int]:
+        """Byte stride of each dimension inside a stored brick."""
+
+    def slices_for_region(self, region: Region) -> list[BrickSlice]:
+        """One strided run per (touched brick × region intersection), in
+        row-major order over the brick grid; for rank > 2, one run per
+        index of the dimensions above the last two."""
+        if region.rank != self.rank:
+            raise StripingError(
+                f"region rank {region.rank} != array rank {self.rank}"
+            )
+        if not Region.full(self.array_shape).covers(region):
+            raise StripingError(f"{region!r} outside array {self.array_shape}")
+        if region.empty:
+            return []
+        buf_strides = _row_major_strides(region.shape, self.element_size)
+        id_strides = _row_major_strides(self.grid, 1)
+        # per dimension, each touched slot as (brick-id term, first cell
+        # inside the slot, payload byte term, cells)
+        axes = []
+        for lo, hi, b, ids, bs in zip(
+            region.starts, region.stops, self._block, id_strides, buf_strides
+        ):
+            axis = []
+            for g in range(lo // b, (hi - 1) // b + 1):
+                first = max(lo, g * b)
+                axis.append(
+                    (g * ids, first - g * b, (first - lo) * bs,
+                     min(hi, g * b + b) - first)
+                )
+            axes.append(axis)
+        runs: list[BrickSlice] = []
+        for parts in itertools.product(*axes):
+            brick_id = at = offset = 0
+            for p in parts:
+                brick_id += p[0]
+                at += p[2]
+            strides = self._brick_strides(brick_id)
+            for p, st in zip(parts, strides):
+                offset += p[1] * st
+            length = parts[-1][3] * self.element_size
+            count, stride, bstride = (
+                (parts[-2][3], strides[-2], buf_strides[-2])
+                if len(parts) > 1 else (1, 0, 0)
+            )
+            if count == 1 or (stride == length and bstride == length):
+                length, count, stride, bstride = length * count, 1, 0, 0
+            for index in itertools.product(*(range(p[3]) for p in parts[:-2])):
+                off, buf = offset, at
+                for i, st, bs in zip(index, strides, buf_strides):
+                    off += i * st
+                    buf += i * bs
+                runs.append(BrickSlice(
+                    brick_id, off, length, buf, count, stride, bstride
+                ))
+        return self._merge(runs)
 
     def total_bytes(self) -> int:
         return math.prod(self.array_shape) * self.element_size
@@ -179,8 +262,8 @@ class _ArrayLevel(StripingMethod):
         """Linear byte extents over the *row-major flattened* array.
 
         Provided so an array file can still be read as a stream (e.g.
-        export to a sequential file, §7): each flattened extent is
-        converted to the array cells it covers, row by row.
+        export to a sequential file, §7): each flattened extent is cut
+        at row ends and every piece is striped as a one-row region.
         """
         slices: list[BrickSlice] = []
         payload = 0
@@ -195,31 +278,17 @@ class _ArrayLevel(StripingMethod):
                     f"linear access to {self.level.value} files must be "
                     "element-aligned"
                 )
-            first = off // elem
-            count = ln // elem
-            while count > 0:
-                coords = []
-                rest = first
-                for n in reversed(self.array_shape):
-                    coords.append(rest % n)
-                    rest //= n
-                coords.reverse()
-                run = min(row_len - coords[-1], count)
-                sub = self.slices_for_region(
-                    Region(
-                        tuple(coords),
-                        tuple(c + 1 for c in coords[:-1]) + (coords[-1] + run,),
-                    )
-                )
-                for s in sub:
-                    slices.append(
-                        BrickSlice(
-                            s.brick_id, s.offset, s.length, payload + s.buffer_offset
-                        )
-                    )
+            first, stop = off // elem, (off + ln) // elem
+            while first < stop:
+                cell = row_major_coords(first, self.array_shape)
+                run = min(row_len - cell[-1], stop - first)
+                stops = tuple(c + 1 for c in cell[:-1]) + (cell[-1] + run,)
+                for s in self.slices_for_region(Region(cell, stops)):
+                    slices.append(BrickSlice(
+                        s.brick_id, s.offset, s.length, payload + s.buffer_offset
+                    ))
                 payload += run * elem
                 first += run
-                count -= run
         return self._merge(slices)
 
 
@@ -254,6 +323,8 @@ class MultidimStriping(_ArrayLevel):
         self.grid = tuple(
             ceil_div(n, b) for n, b in zip(self.array_shape, self.brick_shape)
         )
+        self._block = self.brick_shape
+        self._strides = _row_major_strides(self.brick_shape, element_size)
         self._brick_volume = math.prod(self.brick_shape)
 
     @property
@@ -292,42 +363,8 @@ class MultidimStriping(_ArrayLevel):
         )
         return Region(starts, stops)
 
-    def _within_brick_offset(self, cell: Sequence[int]) -> tuple[int, int]:
-        """(brick_id, byte offset of `cell` inside its brick)."""
-        grid_coords = tuple(c // b for c, b in zip(cell, self.brick_shape))
-        local = tuple(c - g * b for c, g, b in zip(cell, grid_coords, self.brick_shape))
-        idx = 0
-        for c, b in zip(local, self.brick_shape):
-            idx = idx * b + c
-        return self.brick_id_of(grid_coords), idx * self.element_size
-
-    # -- request translation ----------------------------------------------
-    def slices_for_region(self, region: Region) -> list[BrickSlice]:
-        if region.rank != self.rank:
-            raise StripingError(
-                f"region rank {region.rank} != array rank {self.rank}"
-            )
-        if not Region.full(self.array_shape).covers(region):
-            raise StripingError(f"{region!r} outside array {self.array_shape}")
-        slices: list[BrickSlice] = []
-        payload = 0
-        elem = self.element_size
-        inner_brick = self.brick_shape[-1]
-        for start_cell, run in region.rows():
-            # Split the innermost run at brick boundaries.
-            col = start_cell[-1]
-            remaining = run
-            while remaining > 0:
-                take = min(inner_brick - (col % inner_brick), remaining)
-                cell = tuple(start_cell[:-1]) + (col,)
-                brick_id, within = self._within_brick_offset(cell)
-                slices.append(
-                    BrickSlice(brick_id, within, take * elem, payload)
-                )
-                payload += take * elem
-                col += take
-                remaining -= take
-        return self._merge(slices)
+    def _brick_strides(self, brick_id: int) -> list[int]:
+        return self._strides
 
 
 class ArrayStriping(_ArrayLevel):
@@ -364,6 +401,14 @@ class ArrayStriping(_ArrayLevel):
         self.chunks: list[Region] = decompose(
             self.array_shape, self.pattern, nprocs, self.pgrid
         )
+        # HPF BLOCK rule: ceil(n/g)-cell slots; a '*' dimension is one slot
+        self.grid = self.pgrid
+        self._block = tuple(
+            ceil_div(n, g) for n, g in zip(self.array_shape, self.pgrid)
+        )
+        self._strides = [
+            _row_major_strides(chunk.shape, element_size) for chunk in self.chunks
+        ]
 
     @property
     def brick_count(self) -> int:
@@ -384,52 +429,5 @@ class ArrayStriping(_ArrayLevel):
             raise StripingError(f"rank {rank} outside [0, {self.nprocs})")
         return self.chunks[rank]
 
-    # -- request translation ------------------------------------------------
-    def slices_for_region(self, region: Region) -> list[BrickSlice]:
-        if region.rank != self.rank:
-            raise StripingError("region rank mismatch")
-        if not Region.full(self.array_shape).covers(region):
-            raise StripingError(f"{region!r} outside array {self.array_shape}")
-        slices: list[BrickSlice] = []
-        payload = 0
-        elem = self.element_size
-        # Walk the region's rows (payload order) and, for each run, find
-        # the chunk(s) covering it.  Chunks tile the array, and within one
-        # row a run can cross chunk boundaries only along the innermost
-        # distributed dimension.
-        for start_cell, run in region.rows():
-            col = start_cell[-1]
-            remaining = run
-            while remaining > 0:
-                cell = tuple(start_cell[:-1]) + (col,)
-                brick_id = self._owner_of(cell)
-                chunk = self.chunks[brick_id]
-                take = min(chunk.stops[-1] - col, remaining)
-                local = [c - s for c, s in zip(cell, chunk.starts)]
-                within = 0
-                for c, extent in zip(local, chunk.shape):
-                    within = within * extent + c
-                slices.append(
-                    BrickSlice(brick_id, within * elem, take * elem, payload)
-                )
-                payload += take * elem
-                col += take
-                remaining -= take
-        return self._merge(slices)
-
-    def _owner_of(self, cell: Sequence[int]) -> int:
-        # Under the HPF BLOCK rule the owner grid coordinate is a direct
-        # division — no search needed.
-        rank = 0
-        for c, n, symbol, g in zip(
-            cell, self.array_shape, self.pattern, self.pgrid
-        ):
-            if symbol is Dist.STAR:
-                coord = 0
-            else:
-                coord = min(c // ceil_div(n, g), g - 1)
-            rank = rank * g + coord
-        chunk = self.chunks[rank]
-        if chunk.empty or not chunk.contains(cell):  # pragma: no cover
-            raise StripingError(f"cell {tuple(cell)} owned by no chunk")
-        return rank
+    def _brick_strides(self, brick_id: int) -> list[int]:
+        return self._strides[brick_id]

@@ -53,6 +53,9 @@ from .protocol import recv_message, send_message
 
 __all__ = ["ServerHealth", "ServerConnection", "RemoteBackend"]
 
+#: the one client metric labelled by op alone, not by server
+_REQUESTS = "dpfs_net_requests_total"
+
 
 class ServerHealth(enum.Enum):
     """Client-side view of one server's liveness.
@@ -121,8 +124,10 @@ class ServerConnection:
         self._consecutive_failures = 0
 
         #: every count lives in a registry: the connection's own until
-        #: the owning backend hands it the mount's via :meth:`bind_metrics`
-        self.bind_metrics(MetricsRegistry())
+        #: the owning backend hands it the mount's via :meth:`bind_metrics`,
+        #: which carries what was counted here (the ping below) across
+        self._unbound: MetricsRegistry | None = MetricsRegistry()
+        self.bind_metrics(self._unbound)
 
         # eager first connection: construction fails fast on an
         # unreachable address, and the ping populates ``info``
@@ -303,9 +308,7 @@ class ServerConnection:
         index)."""
         label = {} if server is None else {"server": server}
         self._labels = label
-        self._c_requests = registry.counter(
-            "dpfs_net_requests_total", "wire requests issued"
-        )
+        self._c_requests = registry.counter(_REQUESTS, "wire requests issued")
         self._op_counters: dict[str, Any] = {}
         self._h_roundtrip = registry.histogram(
             "dpfs_net_roundtrip_seconds", "wire request round-trip time"
@@ -340,6 +343,10 @@ class ServerConnection:
         )
         with self._cond:
             self._g_health.set(self._health.value, **label)
+        unbound = self._unbound
+        if unbound is not None and unbound is not registry:
+            self._unbound = None
+            unbound.merge_into(registry, label, unlabelled=(_REQUESTS,))
 
     # -- plumbing ---------------------------------------------------------
     def _call_once(

@@ -477,6 +477,41 @@ class MetricsRegistry:
         with self._lock:
             return name in self._metrics
 
+    def merge_into(
+        self,
+        other: "MetricsRegistry",
+        labels: Mapping[str, Any],
+        *,
+        unlabelled: Iterable[str] = (),
+    ) -> None:
+        """Add every series of this registry to ``other``, with ``labels``
+        added to each but those of the metrics named in ``unlabelled``:
+        counters and histograms accumulate, gauges take this registry's
+        value."""
+        skip = set(unlabelled)
+        with self._lock:
+            metrics = list(self._metrics.values())
+        for metric in metrics:
+            extra = {} if metric.name in skip else labels
+            for key, value in metric.series().items():
+                merged = {**dict(key), **extra}
+                if isinstance(metric, Counter):
+                    other.counter(metric.name, metric.help).inc(value.v, **merged)
+                elif isinstance(metric, Gauge):
+                    other.gauge(metric.name, metric.help).set(value, **merged)
+                elif isinstance(metric, Histogram):
+                    target = other.histogram(
+                        metric.name, metric.help, buckets=metric.bucket_bounds
+                    )
+                    if target.bucket_bounds != metric.bucket_bounds:
+                        raise ConfigError(f"{metric.name}: bucket bounds differ")
+                    raw, total, count = value._copy()
+                    series = target._series_for(_label_key(merged))
+                    with series.lock:
+                        series.buckets = [a + b for a, b in zip(series.buckets, raw)]
+                        series.sum += total
+                        series.count += count
+
     # -- export ------------------------------------------------------------
     def render(self) -> str:
         """Prometheus text exposition of every metric, name-sorted."""

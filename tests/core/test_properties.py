@@ -45,17 +45,20 @@ def md_cases(draw):
 def test_multidim_slices_cover_region_exactly(case):
     md, region = case
     slices = md.slices_for_region(region)
+    rows = sorted(
+        (buf, off, ln, s.brick_id) for s in slices for off, ln, buf in s.rows()
+    )
     # payload covers the region exactly, in order, without overlap
-    assert sum(s.length for s in slices) == region.volume * md.element_size
+    assert sum(ln for _b, _o, ln, _i in rows) == region.volume * md.element_size
     expected = 0
-    for s in slices:
-        assert s.buffer_offset == expected
-        expected += s.length
-    # every slice stays inside its brick
+    for buf, _off, ln, _brick in rows:
+        assert buf == expected
+        expected += ln
+    # every row stays inside its brick
     brick_bytes = math.prod(md.brick_shape) * md.element_size
-    for s in slices:
-        assert 0 <= s.offset and s.offset + s.length <= brick_bytes
-        assert 0 <= s.brick_id < md.brick_count
+    for _buf, off, ln, brick in rows:
+        assert 0 <= off and off + ln <= brick_bytes
+        assert 0 <= brick < md.brick_count
 
 
 @given(md_cases())
@@ -114,7 +117,7 @@ def test_array_chunks_partition_and_slice_exactly(ar):
     slices = ar.slices_for_region(Region.full(ar.array_shape))
     per_brick: dict[int, int] = {}
     for s in slices:
-        per_brick[s.brick_id] = per_brick.get(s.brick_id, 0) + s.length
+        per_brick[s.brick_id] = per_brick.get(s.brick_id, 0) + s.nbytes
     for rank, chunk in enumerate(ar.chunks):
         if not chunk.empty:
             assert per_brick.get(rank, 0) == chunk.volume

@@ -121,7 +121,7 @@ def test_multidim_column_region_touches_one_brick_per_tile_row():
     bricks = sorted({s.brick_id for s in slices})
     assert bricks == [0, 4, 8, 12]
     # half of each touched brick is read (1 of 2 columns)
-    assert sum(s.length for s in slices) == 8
+    assert sum(s.nbytes for s in slices) == 8
 
 
 def test_multidim_row_region_crosses_brick_columns():
@@ -135,9 +135,12 @@ def test_multidim_payload_is_region_row_major():
     md = MultidimStriping((4, 4), 1, (2, 2))
     region = Region.of((1, 3), (1, 3))
     slices = md.slices_for_region(region)
-    offsets = [s.buffer_offset for s in slices]
-    assert offsets == sorted(offsets)
-    assert sum(s.length for s in slices) == region.volume
+    # the rows tile the packed payload in order, without gap or overlap
+    expected = 0
+    for buf, ln in sorted((b, ln) for s in slices for _o, ln, b in s.rows()):
+        assert buf == expected
+        expected += ln
+    assert expected == region.volume
 
 
 def test_multidim_region_outside_rejected():
@@ -152,7 +155,7 @@ def test_multidim_flattened_extent_access():
     md = MultidimStriping((4, 4), 2, (2, 2))
     # whole file flattened covers every brick exactly once in volume
     slices = md.slices_for_extents([(0, 32)])
-    assert sum(s.length for s in slices) == 32
+    assert sum(s.nbytes for s in slices) == 32
     # element-misaligned access rejected
     with pytest.raises(StripingError):
         md.slices_for_extents([(1, 2)])
@@ -192,7 +195,7 @@ def test_array_chunk_is_single_slice():
         assert len(slices) == 1
         assert slices[0].brick_id == rank
         assert slices[0].offset == 0
-        assert slices[0].length == 16
+        assert (slices[0].length, slices[0].count) == (16, 1)
 
 
 def test_array_cross_chunk_region():
@@ -228,7 +231,7 @@ def test_array_rejects_cyclic():
 def test_array_flattened_extent_access():
     ar = ArrayStriping((4, 4), 1, "(BLOCK, BLOCK)", 4)
     slices = ar.slices_for_extents([(0, 16)])
-    assert sum(s.length for s in slices) == 16
+    assert sum(s.nbytes for s in slices) == 16
     # row 0 alternates between chunk 0 (cols 0-1) and chunk 1 (cols 2-3)
     first_two = slices[:2]
     assert [s.brick_id for s in first_two] == [0, 1]

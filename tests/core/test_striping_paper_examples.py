@@ -64,7 +64,7 @@ def test_fig6_multidim_first_two_columns():
     bricks = sorted({s.brick_id for s in slices})
     assert bricks == [0, 4, 8, 12]
     # whole bricks are useful: 4 bricks x 4 elements = 16 = region volume
-    assert sum(s.length for s in slices) == region.volume == 16
+    assert sum(s.nbytes for s in slices) == region.volume == 16
 
 
 def test_64k_example_brick_counts():

@@ -100,3 +100,17 @@ def test_trace_tree_spans_all_phases(cluster):
         if s.name == "net.rpc":
             assert by_id[s.parent_id].name == "dispatch.request"
     fs.close()
+
+
+def test_constructor_ping_reaches_mount_metrics(tmp_path):
+    """The connection's first ping runs before the mount binds its
+    registry; its counts must still land in ``fs.metrics``."""
+    with DPFSServer(tmp_path / "s0") as server:
+        fs = DPFS.remote([server.address])
+        try:
+            requests = fs.metrics.get("dpfs_net_requests_total")
+            assert requests.value(op="ping") == server.requests_served == 1
+            roundtrip = fs.metrics.get("dpfs_net_roundtrip_seconds")
+            assert roundtrip.count(server=0) == 1
+        finally:
+            fs.close()

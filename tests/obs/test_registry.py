@@ -189,3 +189,18 @@ def test_snapshot_roundtrips_through_json():
     assert snap["c"]["series"][0]["value"] == 1
     assert snap["h"]["series"][0]["count"] == 1
     assert snap["g"]["series"][0]["value"] == 7
+
+
+def test_merge_into_adds_labels_and_accumulates():
+    src, dst = MetricsRegistry(), MetricsRegistry()
+    src.counter("c_total").inc(2, op="ping")
+    src.counter("plain_total").inc(3, op="ping")
+    src.histogram("h_seconds").observe(0.003)
+    src.gauge("g").set(7)
+    dst.counter("c_total").inc(1, op="ping", server=4)
+    src.merge_into(dst, {"server": 4}, unlabelled=("plain_total",))
+    assert dst.counter("c_total").value(op="ping", server=4) == 3
+    assert dst.counter("plain_total").value(op="ping") == 3
+    assert dst.histogram("h_seconds").count(server=4) == 1
+    assert dst.histogram("h_seconds").sum(server=4) == pytest.approx(0.003)
+    assert dst.gauge("g").value(server=4) == 7
